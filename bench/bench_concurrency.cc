@@ -54,7 +54,6 @@ void BM_TokenLevelConcurrency(benchmark::State& state) {
   TriggerManagerOptions options;
   options.driver_config.num_drivers = static_cast<uint32_t>(state.range(0));
   options.driver_config.period = std::chrono::milliseconds(2);
-  options.persistent_queue = false;
   Fixture fx(options);
   Check(fx.tman->Start(), "start");
   Random rng(5);
@@ -78,7 +77,6 @@ void BM_ConditionLevelPartitions(benchmark::State& state) {
   options.driver_config.num_drivers = 2;
   options.driver_config.period = std::chrono::milliseconds(2);
   options.condition_partitions = static_cast<uint32_t>(state.range(0));
-  options.persistent_queue = false;
   Fixture fx(options, /*same_condition=*/1);
   Check(fx.tman->Start(), "start");
   Random rng(5);
@@ -105,7 +103,6 @@ void BM_ActionConcurrency(benchmark::State& state) {
   options.driver_config.num_drivers = 2;
   options.driver_config.period = std::chrono::milliseconds(2);
   options.concurrent_actions = state.range(0) != 0;
-  options.persistent_queue = false;
   Fixture fx(options, /*same_condition=*/1);
   Check(fx.tman->Start(), "start");
   for (auto _ : state) {

@@ -42,7 +42,6 @@ struct IngestFixture {
   explicit IngestFixture(Mode mode, uint32_t max_queue_depth = 4096,
                          bool durable = false) {
     TriggerManagerOptions options;
-    options.persistent_queue = false;
     options.durable_wal = durable;
     options.driver_config.num_drivers = 2;
     options.driver_config.period = std::chrono::milliseconds(2);

@@ -1,69 +1,14 @@
-// Experiment E6 (§3): update delivery. The current TriggerMan stages
-// update descriptors in a table acting as a queue ("the safety of
-// persistent update queuing"); a planned main-memory queue "will deliver
-// updates faster, but the safety ... will be lost". This bench quantifies
-// that trade: persistent TableQueue (with simulated page latency) vs the
-// in-memory task queue.
+// The in-memory task queue's push/pop round trip: the floor cost of
+// staging one task. The durable side of §3's delivery trade (the WAL as
+// the persistent update queue) is measured end to end by bench_ingest's
+// BM_DurableLoopbackIngest against BM_LoopbackIngest (EXPERIMENTS.md E6).
 
 #include "bench/bench_common.h"
 
 #include "runtime/task_queue.h"
-#include "storage/table_queue.h"
 
 namespace tman::bench {
 namespace {
-
-std::string SampleDescriptor() {
-  auto token = UpdateDescriptor::Update(
-      7,
-      Tuple({Value::String("SYM1"), Value::Float(99.5), Value::Int(100)}),
-      Tuple({Value::String("SYM1"), Value::Float(101.25), Value::Int(200)}));
-  std::string record;
-  token.Serialize(&record);
-  return record;
-}
-
-void BM_PersistentQueueEnqueueDequeue(benchmark::State& state) {
-  uint64_t latency_ns = static_cast<uint64_t>(state.range(0));
-  DiskManager disk(latency_ns);
-  BufferPool pool(&disk, 128);
-  PageId meta = Check(TableQueue::Create(&pool), "create queue");
-  TableQueue queue(&pool, meta);
-  std::string record = SampleDescriptor();
-  for (auto _ : state) {
-    Check(queue.Enqueue(record), "enqueue");
-    auto out = queue.Dequeue();
-    Check(out.status(), "dequeue");
-    benchmark::DoNotOptimize(*out);
-  }
-  state.counters["disk_latency_ns"] = static_cast<double>(latency_ns);
-}
-BENCHMARK(BM_PersistentQueueEnqueueDequeue)
-    ->Arg(0)
-    ->Arg(20000)
-    ->Unit(benchmark::kMicrosecond);
-
-// Durable variant: the dirty queue pages are flushed after every enqueue
-// (what "the safety of persistent update queuing" actually costs — a hot
-// buffer pool hides the page reads but not the committed writes).
-void BM_PersistentQueueDurableEnqueue(benchmark::State& state) {
-  uint64_t latency_ns = static_cast<uint64_t>(state.range(0));
-  DiskManager disk(latency_ns);
-  BufferPool pool(&disk, 128);
-  PageId meta = Check(TableQueue::Create(&pool), "create queue");
-  TableQueue queue(&pool, meta);
-  std::string record = SampleDescriptor();
-  for (auto _ : state) {
-    Check(queue.Enqueue(record), "enqueue");
-    Check(pool.FlushAll(), "flush");
-    Check(queue.Dequeue().status(), "dequeue");
-  }
-  state.counters["disk_latency_ns"] = static_cast<double>(latency_ns);
-}
-BENCHMARK(BM_PersistentQueueDurableEnqueue)
-    ->Arg(0)
-    ->Arg(20000)
-    ->Unit(benchmark::kMicrosecond);
 
 void BM_MemoryQueuePushPop(benchmark::State& state) {
   TaskQueue queue;
@@ -79,30 +24,6 @@ void BM_MemoryQueuePushPop(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MemoryQueuePushPop)->Unit(benchmark::kMicrosecond);
-
-// Backlog behavior: enqueue a burst, then drain (pages chain and are
-// reclaimed).
-void BM_PersistentQueueBurst(benchmark::State& state) {
-  int64_t burst = state.range(0);
-  DiskManager disk;
-  BufferPool pool(&disk, 128);
-  PageId meta = Check(TableQueue::Create(&pool), "create queue");
-  TableQueue queue(&pool, meta);
-  std::string record = SampleDescriptor();
-  for (auto _ : state) {
-    for (int64_t i = 0; i < burst; ++i) {
-      Check(queue.Enqueue(record), "enqueue");
-    }
-    for (int64_t i = 0; i < burst; ++i) {
-      Check(queue.Dequeue().status(), "dequeue");
-    }
-  }
-  state.counters["burst"] = static_cast<double>(burst);
-}
-BENCHMARK(BM_PersistentQueueBurst)
-    ->Arg(100)
-    ->Arg(1000)
-    ->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 }  // namespace tman::bench

@@ -52,7 +52,6 @@ struct ScalingFixture {
                           uint32_t token_batch_width = 0,
                           bool blocking_consumer = true) {
     TriggerManagerOptions options;
-    options.persistent_queue = false;  // hot path: in-memory delivery
     options.driver_config.num_drivers = num_drivers;
     options.driver_config.period = std::chrono::milliseconds(1);
     if (token_batch_width != 0) options.batch_size = token_batch_width;

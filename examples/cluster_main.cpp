@@ -88,7 +88,6 @@ int RunNode(const std::string& name, uint16_t port, uint32_t partitions,
   Database db;
   TriggerManagerOptions tmo;
   tmo.durable_wal = true;
-  tmo.persistent_queue = true;
   tmo.driver_config.num_cpus = drivers;
   TriggerManager tman(&db, tmo);
   if (auto s = tman.Open(); !s.ok()) {

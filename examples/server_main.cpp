@@ -5,8 +5,12 @@
 //
 //   server_main [--port N] [--drivers N] [--queue-depth N] [--memory]
 //
-// --memory switches update staging from the persistent queue table to
-// main-memory delivery (faster, no recovery safety; see ROADMAP).
+// Updates are staged through the durable write-ahead log (group-committed
+// before each batch is acknowledged); --memory switches to main-memory
+// delivery (faster, no recovery safety; see DESIGN.md §11).
+// --queue-depth bounds the credit window in queued tasks, not tokens: a
+// task carries up to the engine's batch_size (64) tokens, so the durable
+// default of 4096 admits about 256k pending WAL tokens.
 // Runs until stdin closes or a "quit" line arrives.
 
 #include <cstdio>
@@ -26,7 +30,7 @@ int main(int argc, char** argv) {
   uint16_t port = 7447;
   uint32_t drivers = 2;
   uint32_t queue_depth = 4096;
-  bool persistent = true;
+  bool durable = true;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--port") == 0 && i + 1 < argc) {
       port = static_cast<uint16_t>(std::atoi(argv[++i]));
@@ -35,19 +39,21 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--queue-depth") == 0 && i + 1 < argc) {
       queue_depth = static_cast<uint32_t>(std::atoi(argv[++i]));
     } else if (std::strcmp(argv[i], "--memory") == 0) {
-      persistent = false;
+      durable = false;
     } else {
       std::fprintf(stderr,
                    "usage: %s [--port N] [--drivers N] [--queue-depth N] "
-                   "[--memory]\n",
-                   argv[0]);
+                   "[--memory]\n"
+                   "  --queue-depth N  credit window in queued tasks; a task "
+                   "carries up to %u tokens\n",
+                   argv[0], static_cast<unsigned>(kDefaultTokenBatchSize));
       return 2;
     }
   }
 
   Database db;
   TriggerManagerOptions tmo;
-  tmo.persistent_queue = persistent;
+  tmo.durable_wal = durable;
   tmo.driver_config.num_cpus = drivers;
   TriggerManager tman(&db, tmo);
   if (auto s = tman.Open(); !s.ok()) {
@@ -73,8 +79,8 @@ int main(int argc, char** argv) {
     return 1;
   }
   std::printf("TriggerMan server listening on port %u (%s staging, %u "
-              "drivers, queue depth %u). 'quit' to stop.\n",
-              bound, persistent ? "persistent" : "memory", drivers,
+              "drivers, queue depth %u tasks). 'quit' to stop.\n",
+              bound, durable ? "durable wal" : "memory", drivers,
               queue_depth);
   std::fflush(stdout);
 

@@ -17,10 +17,9 @@ void FrameConn::Send(FrameType type, std::string_view payload) {
   EncodeFrame(type, payload, &outbox_);
 }
 
-bool FrameConn::Pump() {
+bool FrameConn::Flush() {
   if (failed_) return false;
   bool progress = false;
-
   // Drain the outbox as far as the peer's buffer allows.
   while (outbox_pos_ < outbox_.size()) {
     auto wrote = transport_->TryWrite(
@@ -37,6 +36,12 @@ bool FrameConn::Pump() {
     outbox_.clear();
     outbox_pos_ = 0;
   }
+  return progress;
+}
+
+bool FrameConn::Pump() {
+  bool progress = Flush();
+  if (failed_) return progress;
 
   // Pull whatever is readable and decode complete frames.
   char buf[kReadChunk];

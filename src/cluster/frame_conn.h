@@ -44,6 +44,10 @@ class FrameConn {
   /// connection is closed.
   bool Pump();
 
+  /// Pushes outbox bytes only (the first half of Pump). Returns true if
+  /// any bytes moved.
+  bool Flush();
+
   /// Pops the next decoded frame; false when none is pending.
   bool NextFrame(Frame* out);
 

@@ -164,6 +164,11 @@ bool ClusterNode::Pump(uint64_t now_ms) {
         break;
       }
     }
+    // Acks for the batches just staged leave now, before the caller pops
+    // a task: a token that fires before its ack is on the wire could be
+    // re-routed (and fire again elsewhere) if the router declared this
+    // node dead in between.
+    if (conn.conn->Flush()) progress = true;
   }
   size_t before = conns_.size();
   bool router_lost = false;
@@ -200,7 +205,7 @@ Status ClusterNode::HandleFrame(NodeConn* conn, const Frame& frame) {
       }
       TMAN_ASSIGN_OR_RETURN(UpdateBatchFrame batch,
                             UpdateBatchFrame::Decode(frame.payload));
-      HandleUpdateBatch(conn, batch);
+      HandleUpdateBatch(conn, std::move(batch));
       return Status::OK();
     }
     case FrameType::kPartitionMap: {
@@ -239,8 +244,7 @@ Status ClusterNode::HandleFrame(NodeConn* conn, const Frame& frame) {
   }
 }
 
-void ClusterNode::HandleUpdateBatch(NodeConn* conn,
-                                    const UpdateBatchFrame& batch) {
+void ClusterNode::HandleUpdateBatch(NodeConn* conn, UpdateBatchFrame batch) {
   UpdateAckFrame ack;
   ack.credits = static_cast<uint32_t>(batch.updates.size());
 
@@ -255,7 +259,7 @@ void ClusterNode::HandleUpdateBatch(NodeConn* conn,
       ++deduped;
       continue;
     }
-    accepted.push_back(batch.updates[i]);
+    accepted.push_back(std::move(batch.updates[i]));
     stamp.seqs.push_back(seq);
   }
   uint64_t batch_high = batch.updates.empty()

@@ -123,7 +123,8 @@ class ClusterNode {
   void AddConnection(std::unique_ptr<PollableTransport> transport);
 
   /// Pumps every connection: drains outboxes, decodes and handles
-  /// inbound frames, reaps dead connections. Returns true on progress.
+  /// inbound frames, flushes the replies (acks) they queued, reaps dead
+  /// connections. Returns true on progress.
   /// `now_ms` (logical clock, monotonic per caller) feeds the router-
   /// liveness lease; pass 0 to skip lease accounting for this step.
   bool Pump(uint64_t now_ms = 0);
@@ -142,7 +143,7 @@ class ClusterNode {
   };
 
   Status HandleFrame(NodeConn* conn, const Frame& frame);
-  void HandleUpdateBatch(NodeConn* conn, const UpdateBatchFrame& batch);
+  void HandleUpdateBatch(NodeConn* conn, UpdateBatchFrame batch);
 
   /// Pushes the current hold state (hold_ || lease_hold_) into the
   /// engine: the TriggerManager's task queue pauses while held, so the

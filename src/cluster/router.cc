@@ -69,8 +69,10 @@ void ClusterRouter::AddClientConn(std::unique_ptr<PollableTransport> transport) 
 
 bool ClusterRouter::PumpOnce(uint64_t now_ms) {
   std::lock_guard<std::mutex> lock(mutex_);
-  PumpMembership(now_ms);
+  // Channels first: acks and pongs already received must count before a
+  // membership tick can reach a death verdict on their sender.
   bool progress = PumpChannels(now_ms);
+  PumpMembership(now_ms);
   if (PumpClients()) progress = true;
   return progress;
 }
@@ -289,7 +291,7 @@ void ClusterRouter::HandleChannelAck(const std::string& name, NodeChannel* ch,
     ch->acked_seq = std::max(ch->acked_seq, ack.ack_seq);
     stats_.tokens_acked += batch.tokens.size();
     for (RoutedToken& token : batch.tokens) {
-      MarkClientAcked(token.client_session, token.client_seq);
+      MarkClientAcked(token.session, token.client_seq);
     }
     return;
   }
@@ -315,7 +317,7 @@ void ClusterRouter::HandleChannelAck(const std::string& name, NodeChannel* ch,
       continue;
     }
     ++stats_.tokens_failed;
-    MarkClientFailed(token.client_session, token.client_seq, ack.status_code,
+    MarkClientFailed(token.session, token.client_seq, ack.status_code,
                      ack.message);
   }
 }
@@ -323,24 +325,33 @@ void ClusterRouter::HandleChannelAck(const std::string& name, NodeChannel* ch,
 void ClusterRouter::FlushChannelBatches(NodeChannel* ch) {
   if (ch->state != ChannelState::kUp || !ch->map_synced) return;
   if (!ch->conn || ch->conn->failed()) return;
-  while (!ch->pending.empty() && ch->credits > 0) {
-    size_t n = std::min<size_t>(
-        {ch->pending.size(), ch->credits, options_.batch_max_updates});
+  auto next = ch->pending.begin();
+  while (next != ch->pending.end() && ch->credits > 0) {
+    size_t n = std::min<size_t>({static_cast<size_t>(ch->pending.end() - next),
+                                 ch->credits, options_.batch_max_updates});
     ChannelBatch batch;
     batch.first_seq = ch->next_seq;
+    batch.tokens.assign(std::make_move_iterator(next),
+                        std::make_move_iterator(next + n));
+    next += n;
+    // The tokens move into the frame for encoding and back afterwards,
+    // rather than being copied once per send.
     UpdateBatchFrame frame;
     frame.first_seq = ch->next_seq;
+    frame.updates.reserve(n);
+    for (RoutedToken& token : batch.tokens) {
+      frame.updates.push_back(std::move(token.token));
+    }
+    ch->conn->SendPayload(FrameType::kUpdateBatch, frame);
     for (size_t i = 0; i < n; ++i) {
-      frame.updates.push_back(ch->pending.front().token);
-      batch.tokens.push_back(std::move(ch->pending.front()));
-      ch->pending.pop_front();
+      batch.tokens[i].token = std::move(frame.updates[i]);
     }
     ch->next_seq += n;
     ch->credits -= static_cast<uint32_t>(n);
-    ch->conn->SendPayload(FrameType::kUpdateBatch, frame);
     ch->inflight.push_back(std::move(batch));
     ++stats_.batches_sent;
   }
+  ch->pending.erase(ch->pending.begin(), next);
 }
 
 void ClusterRouter::ChannelDown(const std::string& name, NodeChannel* ch,
@@ -479,46 +490,36 @@ void ClusterRouter::PersistStateLocked() {
   options_.persist_state(state);
 }
 
-void ClusterRouter::MarkClientFailed(const std::string& session, uint64_t seq,
+void ClusterRouter::MarkClientFailed(ClientSession* session, uint64_t seq,
                                      uint8_t status_code,
                                      const std::string& message) {
-  auto it = sessions_.find(session);
-  if (it == sessions_.end()) return;
-  ClientSession& s = it->second;
-  if (s.error_code == 0) {
-    s.error_code = status_code;
-    s.error = "seq " + std::to_string(seq) + ": " + message;
+  if (session->error_code == 0) {
+    session->error_code = status_code;
+    session->error = "seq " + std::to_string(seq) + ": " + message;
   }
   // Resolve the sequence so the cumulative ack prefix advances past the
   // failed token; the attached status tells the client it failed.
   MarkClientAcked(session, seq);
 }
 
-void ClusterRouter::MarkClientAcked(const std::string& session, uint64_t seq) {
-  auto it = sessions_.find(session);
-  if (it == sessions_.end()) return;
-  ClientSession& s = it->second;
-  if (seq <= s.acked) return;
-  s.done.insert(seq);
-  while (!s.done.empty() && *s.done.begin() == s.acked + 1) {
-    ++s.acked;
-    s.done.erase(s.done.begin());
+void ClusterRouter::MarkClientAcked(ClientSession* session, uint64_t seq) {
+  if (seq <= session->acked) return;
+  session->done.insert(seq);
+  while (!session->done.empty() &&
+         *session->done.begin() == session->acked + 1) {
+    ++session->acked;
+    session->done.erase(session->done.begin());
   }
 }
 
-uint64_t ClusterRouter::SubmitLocked(const std::string& session,
-                                     const UpdateDescriptor& token) {
-  ClientSession& s = sessions_[session];
-  uint64_t seq = ++s.high_submitted;
-  ++stats_.tokens_routed;
-  Route(RoutedToken{token, session, seq});
-  return seq;
-}
-
 uint64_t ClusterRouter::Submit(const std::string& session,
-                               const UpdateDescriptor& token) {
+                               UpdateDescriptor token) {
   std::lock_guard<std::mutex> lock(mutex_);
-  return SubmitLocked(session, token);
+  ClientSession* s = &sessions_[session];
+  uint64_t seq = ++s->high_submitted;
+  ++stats_.tokens_routed;
+  Route(RoutedToken{std::move(token), s, seq});
+  return seq;
 }
 
 uint64_t ClusterRouter::AckedSeq(const std::string& session) const {
@@ -662,7 +663,7 @@ void ClusterRouter::HandleClientFrame(ClientConn* client, const Frame& frame) {
         }
         s.high_submitted = seq;
         ++stats_.tokens_routed;
-        Route(RoutedToken{std::move(batch->updates[i]), client->session, seq});
+        Route(RoutedToken{std::move(batch->updates[i]), &s, seq});
       }
       // Replenish the client's send window immediately; the ack itself
       // follows once the owner nodes confirm.

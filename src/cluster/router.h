@@ -154,17 +154,19 @@ class ClusterRouter {
   /// Hands the router an accepted front-end client connection.
   void AddClientConn(std::unique_ptr<PollableTransport> transport);
 
-  /// One bounded step of everything: membership tick (heartbeats, death
-  /// verdicts, reconnect probes), backend channel I/O + acks + failover,
-  /// partition-map pushes, batch flushing, client I/O. Returns true on
-  /// progress. `now_ms` is a logical clock — monotonic per caller.
+  /// One bounded step of everything: backend channel I/O + acks +
+  /// failover, then the membership tick (heartbeats, death verdicts,
+  /// reconnect probes), so traffic already received counts before a
+  /// verdict; then partition-map pushes, batch flushing, client I/O.
+  /// Returns true on progress. `now_ms` is a logical clock — monotonic
+  /// per caller.
   bool PumpOnce(uint64_t now_ms);
 
   // --- programmatic ingest (tests, bench; bypasses the wire front end) ---
 
   /// Appends one token to `session`'s stream; returns the session
   /// sequence assigned. Ack is observable via AckedSeq().
-  uint64_t Submit(const std::string& session, const UpdateDescriptor& token);
+  uint64_t Submit(const std::string& session, UpdateDescriptor token);
 
   /// Highest contiguously-acked sequence for a client session.
   uint64_t AckedSeq(const std::string& session) const;
@@ -206,10 +208,25 @@ class ClusterRouter {
     kUp,          // full member; batches flow when the map is synced
   };
 
+  /// Client-session ack bookkeeping: acks to the client are cumulative
+  /// over the contiguous prefix, but backend acks arrive out of order
+  /// across nodes, so completions park in `done` until the prefix closes.
+  struct ClientSession {
+    uint64_t high_submitted = 0;
+    uint64_t acked = 0;
+    std::set<uint64_t> done;  // completed seqs above `acked`
+    // First unreported token failure (retry budget exhausted): attached
+    // to the next cumulative ack pushed to the session's client, then
+    // cleared. The failed sequence still advances the ack prefix —
+    // "acked" means resolved, the status says how.
+    uint8_t error_code = 0;
+    std::string error;
+  };
+
   /// One client token riding a backend channel.
   struct RoutedToken {
     UpdateDescriptor token;
-    std::string client_session;
+    ClientSession* session = nullptr;  // in sessions_, never erased
     uint64_t client_seq = 0;
     uint32_t attempts = 0;  // non-retryable error bounces (see
                             // max_token_retries); Unavailable not counted
@@ -233,22 +250,7 @@ class ClusterRouter {
     uint64_t acked_seq = 0;     // highest backend sequence acked
     uint32_t credits = 0;
     std::deque<ChannelBatch> inflight;
-    std::deque<RoutedToken> pending;  // routed here, not yet sent
-  };
-
-  /// Client-session ack bookkeeping: acks to the client are cumulative
-  /// over the contiguous prefix, but backend acks arrive out of order
-  /// across nodes, so completions park in `done` until the prefix closes.
-  struct ClientSession {
-    uint64_t high_submitted = 0;
-    uint64_t acked = 0;
-    std::set<uint64_t> done;  // completed seqs above `acked`
-    // First unreported token failure (retry budget exhausted): attached
-    // to the next cumulative ack pushed to the session's client, then
-    // cleared. The failed sequence still advances the ack prefix —
-    // "acked" means resolved, the status says how.
-    uint8_t error_code = 0;
-    std::string error;
+    std::vector<RoutedToken> pending;  // routed here, not yet sent
   };
 
   struct ClientConn {
@@ -290,12 +292,10 @@ class ClusterRouter {
                           const CommandReplyFrame& reply);
   void FinishCommand(uint64_t request_id);
   void Route(RoutedToken token);
-  void MarkClientAcked(const std::string& session, uint64_t seq);
-  void MarkClientFailed(const std::string& session, uint64_t seq,
+  void MarkClientAcked(ClientSession* session, uint64_t seq);
+  void MarkClientFailed(ClientSession* session, uint64_t seq,
                         uint8_t status_code, const std::string& message);
   void PersistStateLocked();
-  uint64_t SubmitLocked(const std::string& session,
-                        const UpdateDescriptor& token);
   std::string StatsStringLocked() const;
   bool IdleLocked() const;
 

@@ -13,7 +13,6 @@ namespace tman {
 namespace {
 
 constexpr char kMetaTable[] = "tman_meta";
-constexpr char kQueueMetaKey[] = "update_queue_meta_page";
 constexpr char kWalMetaKey[] = "wal_header_page";
 constexpr char kDefaultSetName[] = "default";
 
@@ -71,35 +70,6 @@ Status TriggerManager::Open() {
         catalog_->CreateTriggerSet(kDefaultSetName, "default trigger set"));
   }
 
-  // Persistent update queue: its metadata page id is remembered in a tiny
-  // meta table so staged updates survive a reopen.
-  if (!db_->HasTable(kMetaTable)) {
-    TMAN_RETURN_IF_ERROR(
-        db_->CreateTable(kMetaTable, Schema({{"meta_key", DataType::kVarchar},
-                                             {"meta_value", DataType::kInt}}))
-            .status());
-  }
-  std::optional<PageId> queue_meta;
-  TMAN_RETURN_IF_ERROR(db_->Scan(kMetaTable, [&](const Rid&, const Tuple& t) {
-    if (t.at(0).as_string() == kQueueMetaKey) {
-      queue_meta = static_cast<PageId>(t.at(1).as_int());
-      return false;
-    }
-    return true;
-  }));
-  if (!queue_meta.has_value()) {
-    TMAN_ASSIGN_OR_RETURN(PageId page,
-                          TableQueue::Create(db_->buffer_pool()));
-    TMAN_RETURN_IF_ERROR(
-        db_->Insert(kMetaTable,
-                    Tuple({Value::String(kQueueMetaKey),
-                           Value::Int(static_cast<int64_t>(page))}))
-            .status());
-    queue_meta = page;
-  }
-  update_queue_ =
-      std::make_unique<TableQueue>(db_->buffer_pool(), *queue_meta);
-
   // Restore cataloged data sources (the registry definitions survive in
   // the tman_data_source table), then catalog any sources the caller
   // defined before Open().
@@ -154,6 +124,14 @@ Status TriggerManager::Open() {
   // whatever a previous incarnation left behind. This runs last so the
   // predicate index and sources are ready for the re-staged tokens.
   if (options_.durable_wal) {
+    // The WAL header's page id is remembered in a tiny meta table.
+    if (!db_->HasTable(kMetaTable)) {
+      TMAN_RETURN_IF_ERROR(
+          db_->CreateTable(kMetaTable,
+                           Schema({{"meta_key", DataType::kVarchar},
+                                   {"meta_value", DataType::kInt}}))
+              .status());
+    }
     std::optional<PageId> wal_meta;
     TMAN_RETURN_IF_ERROR(
         db_->Scan(kMetaTable, [&](const Rid&, const Tuple& t) {
@@ -644,46 +622,8 @@ Result<std::string> TriggerManager::ExecuteScript(std::string_view text) {
 // Token pipeline (§5.4 + §6)
 // ---------------------------------------------------------------------------
 
-Task TriggerManager::MakePumpTask() {
-  // One pump task per staged descriptor: consumes the head of the
-  // persistent queue on whichever driver runs first.
-  Task task;
-  task.kind = TaskKind::kProcessToken;
-  task.work = [this]() -> Status {
-    auto record = update_queue_->Dequeue();
-    if (!record.ok()) {
-      // NotFound just means another pump task drained our descriptor.
-      // Anything else (I/O error, CRC corruption) must surface, not be
-      // mistaken for an empty queue.
-      if (record.status().IsNotFound()) return Status::OK();
-      TMAN_LOG(kWarn) << "staged queue dequeue failed: "
-                      << record.status().ToString();
-      return record.status();
-    }
-    TMAN_ASSIGN_OR_RETURN(UpdateDescriptor t,
-                          UpdateDescriptor::Deserialize(*record));
-    return EnqueueTokenTasks(t);
-  };
-  return task;
-}
-
 Status TriggerManager::SubmitUpdate(const UpdateDescriptor& token) {
-  StageTimer ingest_timer(&stage_metrics_, Stage::kIngest, 1);
-  if (wal_ != nullptr) {
-    // Durable mode: every submission goes through the logged batch path
-    // (a single-token batch still amortizes its sync across whatever
-    // concurrent submitters join the group-commit round).
-    return SubmitDurableBatch({token}, nullptr, nullptr);
-  }
-  updates_submitted_.fetch_add(1, std::memory_order_relaxed);
-  if (options_.persistent_queue && update_queue_ != nullptr) {
-    std::string record;
-    token.Serialize(&record);
-    TMAN_RETURN_IF_ERROR(update_queue_->Enqueue(record));
-    task_queue_.Push(MakePumpTask());
-    return Status::OK();
-  }
-  return EnqueueTokenTasks(token);
+  return SubmitUpdateBatch({token});
 }
 
 Status TriggerManager::SubmitUpdateBatch(
@@ -692,97 +632,78 @@ Status TriggerManager::SubmitUpdateBatch(
   StageTimer ingest_timer(&stage_metrics_, Stage::kIngest, tokens.size());
   if (wal_ != nullptr) return SubmitDurableBatch(tokens, per_update, stamp);
   updates_submitted_.fetch_add(tokens.size(), std::memory_order_relaxed);
-  Status first_error = Status::OK();
+  // Memory staging: the batch is chunked into columnar token-batch tasks
+  // so the whole group rides the batched pipeline end-to-end, and lands
+  // under one shard lock with one wakeup pass.
   std::vector<Task> tasks;
-  tasks.reserve(tokens.size());
-  const bool persistent =
-      options_.persistent_queue && update_queue_ != nullptr;
-  if (!persistent) {
-    // Memory mode: the batch is chunked into columnar token-batch tasks
-    // so the whole group rides the batched pipeline end-to-end.
-    AppendTokenBatchTasks(tokens, &tasks);
-    if (per_update != nullptr) {
-      per_update->assign(tokens.size(), Status::OK());
-    }
-    task_queue_.PushBatch(std::move(tasks));
-    return first_error;
-  }
-  for (const UpdateDescriptor& token : tokens) {
-    std::string record;
-    token.Serialize(&record);
-    Status s = update_queue_->Enqueue(record);
-    if (s.ok()) tasks.push_back(MakePumpTask());
-    if (!s.ok() && first_error.ok()) first_error = s;
-    if (per_update != nullptr) per_update->push_back(std::move(s));
-  }
-  // The whole batch lands under one shard lock with one wakeup pass —
-  // this is the point of the exercise.
+  AppendTokenBatchTasks(tokens, {}, &tasks);
+  if (per_update != nullptr) per_update->assign(tokens.size(), Status::OK());
   task_queue_.PushBatch(std::move(tasks));
-  return first_error;
-}
-
-void TriggerManager::AppendTokenTasks(const UpdateDescriptor& token,
-                                      std::vector<Task>* out) {
-  uint32_t parts = options_.condition_partitions;
-  if (parts <= 1) {
-    Task task;
-    task.kind = TaskKind::kProcessToken;
-    UpdateDescriptor copy = token;
-    task.work = [this, copy]() { return ProcessToken(copy, 0, 1); };
-    out->push_back(std::move(task));
-    return;
-  }
-  for (uint32_t p = 0; p < parts; ++p) {
-    Task task;
-    task.kind = TaskKind::kProcessTokenPartition;
-    UpdateDescriptor copy = token;
-    task.work = [this, copy, p, parts]() {
-      return ProcessToken(copy, p, parts);
-    };
-    out->push_back(std::move(task));
-  }
+  return Status::OK();
 }
 
 void TriggerManager::AppendTokenBatchTasks(
-    const std::vector<UpdateDescriptor>& tokens, std::vector<Task>* out) {
-  const size_t chunk = options_.batch_size;
-  if (chunk <= 1) {
-    for (const UpdateDescriptor& token : tokens) AppendTokenTasks(token, out);
-    return;
-  }
+    const std::vector<UpdateDescriptor>& tokens,
+    const std::vector<WalTokenRef>& wal, std::vector<Task>* out) {
+  const size_t chunk = std::max<uint32_t>(1, options_.batch_size);
   const uint32_t parts = std::max(1u, options_.condition_partitions);
   for (size_t begin = 0; begin < tokens.size(); begin += chunk) {
     const size_t end = std::min(tokens.size(), begin + chunk);
-    if (end - begin == 1) {
-      AppendTokenTasks(tokens[begin], out);
-      continue;
-    }
     // The group is shared by its partition tasks; each runs the whole
-    // group through the batched pipeline for its partition.
-    auto group = std::make_shared<std::vector<UpdateDescriptor>>(
-        tokens.begin() + begin, tokens.begin() + end);
+    // group for its partition.
+    auto group = std::make_shared<TokenGroup>();
+    group->tokens.assign(tokens.begin() + begin, tokens.begin() + end);
+    if (!wal.empty()) group->wal.assign(wal.begin() + begin, wal.begin() + end);
     for (uint32_t p = 0; p < parts; ++p) {
       Task task;
       task.kind = parts == 1 ? TaskKind::kProcessToken
                              : TaskKind::kProcessTokenPartition;
       task.work = [this, group, p, parts]() {
-        return ProcessTokenBatch(*group, p, parts);
+        return RunTokenGroup(*group, p, parts);
       };
       out->push_back(std::move(task));
     }
   }
 }
 
-Status TriggerManager::EnqueueTokenTasks(const UpdateDescriptor& token) {
-  // Called from a pump task or from SubmitUpdate (memory mode).
-  std::vector<Task> tasks;
-  AppendTokenTasks(token, &tasks);
-  if (tasks.size() == 1) {
-    task_queue_.Push(std::move(tasks.front()));
-  } else {
-    task_queue_.PushBatch(std::move(tasks));
+Status TriggerManager::RunTokenGroup(const TokenGroup& group,
+                                     uint32_t partition,
+                                     uint32_t num_partitions) {
+  auto run = [&](const std::vector<UpdateDescriptor>& tokens,
+                 std::vector<Status>* per_lane) -> Status {
+    if (tokens.size() != 1) {
+      return ProcessTokenBatch(tokens, partition, num_partitions, per_lane);
+    }
+    Status s = ProcessToken(tokens[0], partition, num_partitions);
+    if (per_lane != nullptr) per_lane->assign(1, s);
+    return s;
+  };
+  if (group.wal.empty()) return run(group.tokens, nullptr);
+
+  // A token fenced by a cluster rejoin (FenceWalSessions) was already
+  // re-routed to another node; complete its bookkeeping without
+  // processing it so it neither fires here nor replays again.
+  std::vector<bool> done = FencedWalTokens(group.wal);
+  std::vector<size_t> lanes;  // live lane -> group index
+  for (size_t i = 0; i < done.size(); ++i) {
+    if (!done[i]) lanes.push_back(i);
   }
-  return Status::OK();
+  const std::vector<UpdateDescriptor>* tokens = &group.tokens;
+  std::vector<UpdateDescriptor> live;
+  if (lanes.size() != group.tokens.size()) {
+    for (size_t i : lanes) live.push_back(group.tokens[i]);
+    tokens = &live;
+  }
+  std::vector<Status> lane_status;
+  Status first = Status::OK();
+  if (!lanes.empty()) first = run(*tokens, &lane_status);
+  // Only completed lanes report back: a failed one leaves its token
+  // pending so the next recovery replays it (at-least-once).
+  for (size_t k = 0; k < lanes.size(); ++k) {
+    if (lane_status[k].ok()) done[lanes[k]] = true;
+  }
+  MarkWalProcessed(group.wal, done);
+  return first;
 }
 
 // ---------------------------------------------------------------------------
@@ -867,128 +788,57 @@ Status TriggerManager::SubmitDurableBatch(
     if (--wal_commits_in_flight_ == 0) wal_inflight_cv_.notify_all();
   }
 
-  // Stage processing. Durability is already settled, so a staging-queue
-  // hiccup downgrades to direct in-memory tasks rather than failing the
-  // batch — the token is in the log either way.
-  std::vector<Task> tasks;
-  tasks.reserve(tokens.size());
-  const bool persistent =
-      options_.persistent_queue && update_queue_ != nullptr;
+  // Stage processing: durability is settled, so the tasks carry each
+  // token's WAL identity for the processed markers.
+  std::vector<WalTokenRef> refs(tokens.size());
   for (size_t i = 0; i < tokens.size(); ++i) {
-    bool staged = false;
-    if (persistent) {
-      std::string wrapped;
-      PutU64(&wrapped, batch_id);
-      PutU32(&wrapped, static_cast<uint32_t>(i));
-      tokens[i].Serialize(&wrapped);
-      if (update_queue_->Enqueue(wrapped).ok()) {
-        tasks.push_back(MakeWalPumpTask());
-        staged = true;
-      }
-    }
-    if (!staged) {
-      AppendWalTokenTasks(tokens[i], batch_id, static_cast<uint32_t>(i),
-                          &tasks);
-    }
-    if (per_update != nullptr) per_update->push_back(Status::OK());
+    refs[i] = WalTokenRef{batch_id, static_cast<uint32_t>(i)};
   }
+  std::vector<Task> tasks;
+  AppendTokenBatchTasks(tokens, refs, &tasks);
+  if (per_update != nullptr) per_update->assign(tokens.size(), Status::OK());
   task_queue_.PushBatch(std::move(tasks));
   MaybeCheckpointWal();
   return Status::OK();
 }
 
-void TriggerManager::AppendWalTokenTasks(const UpdateDescriptor& token,
-                                         uint64_t batch_id, uint32_t index,
-                                         std::vector<Task>* out) {
-  uint32_t parts = std::max(1u, options_.condition_partitions);
-  for (uint32_t p = 0; p < parts; ++p) {
-    Task task;
-    task.kind = parts == 1 ? TaskKind::kProcessToken
-                           : TaskKind::kProcessTokenPartition;
-    UpdateDescriptor copy = token;
-    task.work = [this, copy, p, parts, batch_id, index]() {
-      // A token fenced by a cluster rejoin (FenceWalSessions) was already
-      // re-routed to another node; complete its bookkeeping without
-      // processing it so it neither fires here nor replays again.
-      if (IsWalTokenFenced(batch_id, index)) {
-        MarkWalProcessed(batch_id, index);
-        return Status::OK();
-      }
-      Status s = ProcessToken(copy, p, parts);
-      // Only completed partitions report back: a failed one leaves the
-      // token pending so the next recovery replays it (at-least-once).
-      if (s.ok()) MarkWalProcessed(batch_id, index);
-      return s;
-    };
-    out->push_back(std::move(task));
-  }
-}
-
-Task TriggerManager::MakeWalPumpTask() {
-  Task task;
-  task.kind = TaskKind::kProcessToken;
-  task.work = [this]() -> Status {
-    auto record = update_queue_->Dequeue();
-    if (!record.ok()) {
-      // Only NotFound means "already consumed by another pump task". A
-      // real dequeue failure leaves the token in wal_pending_ until the
-      // next recovery replays it; surface the error instead of silently
-      // swallowing it so driver stats and tests see the stall.
-      if (record.status().IsNotFound()) return Status::OK();
-      TMAN_LOG(kWarn) << "wal-staged queue dequeue failed: "
-                      << record.status().ToString();
-      return record.status();
-    }
-    size_t pos = 0;
-    uint64_t batch_id = 0;
-    uint32_t index = 0;
-    if (!GetU64(*record, &pos, &batch_id) ||
-        !GetU32(*record, &pos, &index)) {
-      return Status::Corruption("wal-staged queue record too short");
-    }
-    TMAN_ASSIGN_OR_RETURN(
-        UpdateDescriptor t,
-        UpdateDescriptor::Deserialize(
-            std::string_view(*record).substr(pos)));
-    std::vector<Task> tasks;
-    AppendWalTokenTasks(t, batch_id, index, &tasks);
-    // One explicit-shard batch push per staged record: recovery replay
-    // runs many pump tasks back to back, and pushing their token tasks
-    // one by one would serialize every pump on its home-shard lock.
-    // Spreading by batch id also scatters a large replay across shards
-    // instead of piling it onto the pumping thread's shard.
-    task_queue_.PushBatchToShard(
-        static_cast<uint32_t>(batch_id % task_queue_.num_shards()),
-        std::move(tasks));
-    return Status::OK();
-  };
-  return task;
-}
-
-void TriggerManager::MarkWalProcessed(uint64_t batch_id, uint32_t index) {
+void TriggerManager::MarkWalProcessed(const std::vector<WalTokenRef>& refs,
+                                      const std::vector<bool>& done) {
   std::lock_guard<std::mutex> lock(wal_mutex_);
-  auto it = wal_pending_.find(batch_id);
-  if (it == wal_pending_.end()) return;
-  auto tok = it->second.tokens.find(index);
-  if (tok == it->second.tokens.end()) return;
-  if (tok->second.remaining_parts > 1) {
-    --tok->second.remaining_parts;
-    return;
+  for (size_t i = 0; i < refs.size(); ++i) {
+    if (!done[i]) continue;
+    const WalTokenRef& ref = refs[i];
+    auto it = wal_pending_.find(ref.batch_id);
+    if (it == wal_pending_.end()) continue;
+    auto tok = it->second.tokens.find(ref.index);
+    if (tok == it->second.tokens.end()) continue;
+    if (tok->second.remaining_parts > 1) {
+      --tok->second.remaining_parts;
+      continue;
+    }
+    it->second.tokens.erase(tok);
+    if (it->second.tokens.empty()) wal_pending_.erase(it);
+    std::string payload;
+    PutU64(&payload, ref.batch_id);
+    PutU32(&payload, ref.index);
+    // Lazily buffered: the marker rides the next commit round for free.
+    // If the append fails (or the process dies first), recovery replays
+    // the token — at-least-once, resolved by action idempotence or dedup.
+    (void)wal_->Append(WalRecordType::kProcessed, payload);
   }
-  it->second.tokens.erase(tok);
-  if (it->second.tokens.empty()) wal_pending_.erase(it);
-  std::string payload;
-  PutU64(&payload, batch_id);
-  PutU32(&payload, index);
-  // Lazily buffered: the marker rides the next commit round for free. If
-  // the append fails (or the process dies first), recovery replays the
-  // token — at-least-once, resolved by action idempotence or dedup.
-  (void)wal_->Append(WalRecordType::kProcessed, payload);
 }
 
 void TriggerManager::MaybeCheckpointWal() {
   if (wal_ == nullptr) return;
-  if (wal_->RetainedBytes() <= options_.wal_checkpoint_bytes) return;
+  // Relative trigger: a checkpoint re-logs every pending token, so under
+  // a backlog the record alone can exceed the absolute threshold. Waiting
+  // for twice the last record's size bounds the re-logging to a constant
+  // factor of the bytes appended since.
+  const uint64_t threshold =
+      std::max<uint64_t>(options_.wal_checkpoint_bytes,
+                         2 * wal_last_checkpoint_bytes_.load(
+                                 std::memory_order_relaxed));
+  if (wal_->RetainedBytes() <= threshold) return;
   Status s = CheckpointWal();
   if (!s.ok()) {
     TMAN_LOG(kWarn) << "wal checkpoint failed: " << s.ToString();
@@ -1044,6 +894,8 @@ Status TriggerManager::CheckpointWal() {
   Status result = appended;
   if (result.ok()) result = wal_->Commit(end_lsn);
   if (result.ok()) {
+    wal_last_checkpoint_bytes_.store(payload.size(),
+                                     std::memory_order_relaxed);
     // Everything before the checkpoint record is dead; a failed truncate
     // only costs log space, never correctness.
     Lsn record_start = end_lsn - payload.size() - kWalRecordOverhead;
@@ -1222,24 +1074,8 @@ Status TriggerManager::RecoverFromWal() {
     return Status::Corruption("wal: unknown record type");
   }));
 
-  // The WAL is authoritative over the persistent staging queue: whatever
-  // the queue still holds duplicates un-marked tokens the replay below
-  // re-stages, so repair a torn tail and drain it.
-  if (options_.persistent_queue && update_queue_ != nullptr) {
-    auto torn = update_queue_->RecoverTorn();
-    if (!torn.ok()) return torn.status();
-    for (;;) {
-      auto record = update_queue_->Dequeue();
-      if (!record.ok()) {
-        if (record.status().IsNotFound()) break;
-        return record.status();
-      }
-    }
-  }
-
   // Install the recovered state and re-stage every surviving token.
   const uint32_t parts = std::max(1u, options_.condition_partitions);
-  std::vector<Task> tasks;
   {
     std::lock_guard<std::mutex> lock(wal_mutex_);
     wal_sessions_ = sessions;
@@ -1252,16 +1088,23 @@ Status TriggerManager::RecoverFromWal() {
       }
     }
   }
+  // Re-stage through the same batched builder as live submissions;
+  // groups may span batch records.
+  std::vector<UpdateDescriptor> tokens;
+  std::vector<WalTokenRef> refs;
   for (const auto& [batch_id, batch] : pending) {
     for (const auto& [index, token] : batch.tokens) {
       TMAN_ASSIGN_OR_RETURN(UpdateDescriptor descriptor,
                             UpdateDescriptor::Deserialize(token.bytes));
-      AppendWalTokenTasks(descriptor, batch_id, index, &tasks);
-      ++info.tokens_replayed;
+      tokens.push_back(std::move(descriptor));
+      refs.push_back(WalTokenRef{batch_id, index});
     }
     ++info.batches_replayed;
   }
+  info.tokens_replayed = tokens.size();
   info.sessions_restored = sessions.size();
+  std::vector<Task> tasks;
+  AppendTokenBatchTasks(tokens, refs, &tasks);
   task_queue_.PushBatch(std::move(tasks));
   last_recovery_ = info;
   return Status::OK();
@@ -1321,13 +1164,17 @@ uint64_t TriggerManager::FenceWalSessions(
   return fenced;
 }
 
-bool TriggerManager::IsWalTokenFenced(uint64_t batch_id,
-                                      uint32_t index) const {
+std::vector<bool> TriggerManager::FencedWalTokens(
+    const std::vector<WalTokenRef>& refs) const {
+  std::vector<bool> fenced(refs.size(), false);
   std::lock_guard<std::mutex> lock(wal_mutex_);
-  auto it = wal_pending_.find(batch_id);
-  if (it == wal_pending_.end()) return false;
-  auto tok = it->second.tokens.find(index);
-  return tok != it->second.tokens.end() && tok->second.fenced;
+  for (size_t i = 0; i < refs.size(); ++i) {
+    auto it = wal_pending_.find(refs[i].batch_id);
+    if (it == wal_pending_.end()) continue;
+    auto tok = it->second.tokens.find(refs[i].index);
+    fenced[i] = tok != it->second.tokens.end() && tok->second.fenced;
+  }
+  return fenced;
 }
 
 Status TriggerManager::SetDurableMeta(std::string_view blob) {
@@ -1525,8 +1372,11 @@ Status TriggerManager::ProcessToken(const UpdateDescriptor& token,
 
 Status TriggerManager::ProcessTokenBatch(
     const std::vector<UpdateDescriptor>& tokens, uint32_t partition,
-    uint32_t num_partitions) {
-  if (tokens.empty()) return Status::OK();
+    uint32_t num_partitions, std::vector<Status>* per_lane) {
+  if (tokens.empty()) {
+    if (per_lane != nullptr) per_lane->clear();
+    return Status::OK();
+  }
   if (partition == 0) {
     tokens_processed_.fetch_add(tokens.size(), std::memory_order_relaxed);
   }
@@ -1588,10 +1438,15 @@ Status TriggerManager::ProcessTokenBatch(
     }
   }
 
+  Status first = Status::OK();
   for (const Status& s : lane_status) {
-    if (!s.ok()) return s;
+    if (!s.ok()) {
+      first = s;
+      break;
+    }
   }
-  return Status::OK();
+  if (per_lane != nullptr) *per_lane = std::move(lane_status);
+  return first;
 }
 
 Status TriggerManager::RunFiring(const PredicateMatch& match,

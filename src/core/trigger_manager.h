@@ -26,7 +26,6 @@
 #include "runtime/driver.h"
 #include "runtime/stage_metrics.h"
 #include "runtime/task_queue.h"
-#include "storage/table_queue.h"
 #include "storage/wal.h"
 
 namespace tman {
@@ -46,20 +45,16 @@ struct TriggerManagerOptions {
   /// A-TREAT construction policy.
   ATreatOptions network_options;
 
-  /// Stage update descriptors through the persistent queue table (§3:
-  /// "the safety of persistent update queuing"); false = main-memory
-  /// delivery ("faster, but the safety ... will be lost").
-  bool persistent_queue = true;
-
   /// Condition-level concurrency (Figure 5): fan each token into this
   /// many partition tasks. 1 = token-level concurrency only.
   uint32_t condition_partitions = 1;
 
-  /// Columnar token-batch size: memory-mode batch submissions are chunked
-  /// into groups of up to this many tokens, each group processed as ONE
-  /// task through the batched predicate-index probe and the batched
-  /// bytecode VM. <= 1 disables batching (every token gets its own task
-  /// and runs the scalar pipeline — the differential-testing oracle).
+  /// Columnar token-batch size: batch submissions (and WAL recovery) are
+  /// chunked into groups of up to this many tokens, each group processed
+  /// as ONE task through the batched predicate-index probe and the
+  /// batched bytecode VM. <= 1 disables batching (every token gets its
+  /// own task and runs the scalar pipeline — the differential-testing
+  /// oracle).
   uint32_t batch_size = kDefaultTokenBatchSize;
 
   /// Rule-action concurrency: run fired actions as separate tasks
@@ -68,12 +63,15 @@ struct TriggerManagerOptions {
 
   /// Durable ingestion: log every submitted batch to a write-ahead log
   /// and group-commit it before acknowledging, so acked-but-unprocessed
-  /// tokens survive a crash and are replayed by Open(). Implies the WAL
-  /// is authoritative over the persistent staging queue on recovery.
+  /// tokens survive a crash and are replayed by Open(). The WAL is the
+  /// persistent update queue of §3; false = main-memory delivery
+  /// ("faster, but the safety ... will be lost").
   bool durable_wal = false;
 
   /// Checkpoint the WAL (snapshot live state, truncate the dead prefix)
-  /// once it retains more than this many bytes.
+  /// once it retains more than this many bytes AND more than twice the
+  /// last checkpoint record, so a large backlog is not re-logged on
+  /// every batch.
   uint64_t wal_checkpoint_bytes = 256 * 1024;
 
   /// Online adaptive re-optimization: Start() also spawns a background
@@ -129,8 +127,8 @@ struct TriggerManagerStats {
 };
 
 /// TriggerMan: the asynchronous trigger processor. Owns the predicate
-/// index, trigger cache, catalogs, update queue, task queue and driver
-/// pool; exposes the command language plus programmatic APIs.
+/// index, trigger cache, catalogs, write-ahead log, task queue and
+/// driver pool; exposes the command language plus programmatic APIs.
 ///
 /// Typical use:
 ///   Database db;
@@ -186,7 +184,7 @@ class TriggerManager {
   // --- update ingestion & processing -----------------------------------------
 
   /// Data source API entry: stages an update descriptor for asynchronous
-  /// processing (persistent queue table or in-memory task).
+  /// processing (a one-token SubmitUpdateBatch).
   Status SubmitUpdate(const UpdateDescriptor& token);
 
   /// Batched entry: stages a whole batch with ONE task-queue PushBatch —
@@ -346,9 +344,10 @@ class TriggerManager {
   /// hashing and batched rest-of-predicate eval — with per-lane error
   /// isolation (a failing token never stops its batch-mates). Firing
   /// order per token is exactly the scalar order. Returns the first
-  /// per-token error.
+  /// per-token error; `per_lane` (optional) receives every lane's Status.
   Status ProcessTokenBatch(const std::vector<UpdateDescriptor>& tokens,
-                           uint32_t partition, uint32_t num_partitions);
+                           uint32_t partition, uint32_t num_partitions,
+                           std::vector<Status>* per_lane = nullptr);
 
   /// The maintenance pass of ProcessToken (stored alpha memories,
   /// aggregate group state), shared by the scalar and batched pipelines.
@@ -377,26 +376,53 @@ class TriggerManager {
   /// True if the trigger and its set are enabled.
   bool IsEnabled(TriggerId id) const;
 
-  Status EnqueueTokenTasks(const UpdateDescriptor& token);
-
   /// Durable-path batch submission (WAL append + group commit + staging).
   Status SubmitDurableBatch(const std::vector<UpdateDescriptor>& tokens,
                             std::vector<Status>* per_update,
                             const BatchStamp* stamp);
 
-  /// Like AppendTokenTasks, but each task reports back to the WAL
-  /// bookkeeping (MarkWalProcessed) when its partition completes.
-  void AppendWalTokenTasks(const UpdateDescriptor& token, uint64_t batch_id,
-                           uint32_t index, std::vector<Task>* out);
+  /// A WAL-staged token's identity: the batch record it was logged in
+  /// (the record's end LSN) and its index within that batch.
+  struct WalTokenRef {
+    uint64_t batch_id = 0;
+    uint32_t index = 0;
+  };
 
-  /// Pump task for WAL-mode staging-queue records (which are wrapped
-  /// with their batch id and token index).
-  Task MakeWalPumpTask();
+  /// One staged group, shared by its condition-partition tasks. `wal` is
+  /// parallel to `tokens` for WAL staging and empty for memory staging.
+  struct TokenGroup {
+    std::vector<UpdateDescriptor> tokens;
+    std::vector<WalTokenRef> wal;
+  };
 
-  /// One partitioned task of (batch_id, index) finished; when the whole
-  /// token is done, appends a kProcessed marker (made durable by the
-  /// next commit round) and drops it from the pending map.
-  void MarkWalProcessed(uint64_t batch_id, uint32_t index);
+  /// The one task builder for every staging path (memory submissions,
+  /// live WAL submissions, WAL tokens re-staged by recovery): chunks
+  /// `tokens` into groups of options_.batch_size and builds one task per
+  /// (group, condition partition). `wal` is parallel to `tokens`, or
+  /// empty for memory staging.
+  void AppendTokenBatchTasks(const std::vector<UpdateDescriptor>& tokens,
+                             const std::vector<WalTokenRef>& wal,
+                             std::vector<Task>* out);
+
+  /// Runs one group for one condition partition. A one-token group runs
+  /// the scalar ProcessToken (batch_size <= 1 makes every group one
+  /// token: the differential oracle), larger groups ProcessTokenBatch. A
+  /// WAL group skips fenced tokens, then reports the fenced ones and the
+  /// lanes that succeeded to MarkWalProcessed; a failed lane leaves its
+  /// token pending, so the next recovery replays it.
+  Status RunTokenGroup(const TokenGroup& group, uint32_t partition,
+                       uint32_t num_partitions);
+
+  /// One partition task finished the lanes of `refs` flagged in `done`.
+  /// Under one wal_mutex_ acquisition, each token whose every partition
+  /// is done gets a kProcessed marker (made durable by the next commit
+  /// round) and leaves the pending map.
+  void MarkWalProcessed(const std::vector<WalTokenRef>& refs,
+                        const std::vector<bool>& done);
+
+  /// Per token of `refs`: true when cluster fencing marked it as
+  /// not-to-run (one wal_mutex_ acquisition).
+  std::vector<bool> FencedWalTokens(const std::vector<WalTokenRef>& refs) const;
 
   /// Replays the WAL during Open(): rebuilds session dedup state, drops
   /// processed tokens, re-stages the rest.
@@ -411,29 +437,13 @@ class TriggerManager {
   /// on | off.
   Result<std::string> AdaptCommand(std::string_view args);
 
-  /// Builds the token task(s) for one descriptor (one per condition
-  /// partition) without pushing, so batch submission can hand the whole
-  /// set to TaskQueue::PushBatch in one call.
-  void AppendTokenTasks(const UpdateDescriptor& token, std::vector<Task>* out);
-
-  /// Chunks `tokens` into groups of options_.batch_size and builds one
-  /// ProcessTokenBatch task per (group, partition). batch_size <= 1
-  /// degrades to per-token AppendTokenTasks (scalar pipeline).
-  void AppendTokenBatchTasks(const std::vector<UpdateDescriptor>& tokens,
-                             std::vector<Task>* out);
-
-  /// Builds the pump task that drains one record from the persistent
-  /// update queue (§3 staging).
-  Task MakePumpTask();
-
   Database* db_;
   TriggerManagerOptions options_;
 
   std::unique_ptr<TriggerCatalog> catalog_;
   std::unique_ptr<PredicateIndex> pindex_;
   std::unique_ptr<TriggerCache> cache_;
-  std::unique_ptr<TableQueue> update_queue_;  // persistent staging
-  std::unique_ptr<Wal> wal_;                  // durable ingestion log
+  std::unique_ptr<Wal> wal_;  // durable ingestion log (the update queue)
   DataSourceRegistry registry_;
   EventManager events_;
   std::unique_ptr<ActionExecutor> actions_;
@@ -474,9 +484,6 @@ class TriggerManager {
   std::condition_variable adapt_thread_cv_;
   bool adapt_stop_ = false;
 
-  /// True when cluster fencing marked this pending token as not-to-run.
-  bool IsWalTokenFenced(uint64_t batch_id, uint32_t index) const;
-
   // --- WAL bookkeeping (guarded by wal_mutex_) -------------------------------
   struct PendingToken {
     std::string serialized;
@@ -507,6 +514,9 @@ class TriggerManager {
   // Durable metadata blob (SetDurableMeta); latest record wins on replay.
   std::string wal_meta_;
   std::atomic<bool> wal_checkpointing_{false};
+  // Payload size of the last committed checkpoint record: the relative
+  // half of MaybeCheckpointWal's trigger.
+  std::atomic<uint64_t> wal_last_checkpoint_bytes_{0};
   WalRecoveryInfo last_recovery_;
 };
 

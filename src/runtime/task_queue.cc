@@ -85,8 +85,8 @@ void TaskQueue::PushToShard(uint32_t shard_index, Task task) {
                                                   std::memory_order_relaxed);
     shard.tasks.push_back(std::move(task));
     shard.depth.store(shard.tasks.size(), std::memory_order_relaxed);
+    NoteQueued(1);
   }
-  NoteQueued(1);
   WakeSleepers(1);
   Observe("push:" + std::string(TaskKindName(kind)));
 }
@@ -111,8 +111,8 @@ void TaskQueue::PushBatchToShard(uint32_t shard_index,
     }
     for (Task& t : tasks) shard.tasks.push_back(std::move(t));
     shard.depth.store(shard.tasks.size(), std::memory_order_relaxed);
+    NoteQueued(kinds.size());
   }
-  NoteQueued(kinds.size());
   WakeSleepers(kinds.size());
   if (observer_) {
     for (TaskKind kind : kinds) {

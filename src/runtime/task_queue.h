@@ -197,6 +197,9 @@ class TaskQueue {
   }
 
   /// Records the post-push total and maintains the global high-water.
+  /// Called under the pushing shard's mutex: a pop of the new tasks must
+  /// take that mutex first, so it can never subtract before this adds
+  /// (which would wrap size_ below zero).
   void NoteQueued(size_t added);
 
   /// Wakes sleepers after a push. The empty lock/unlock of sleep_mutex_

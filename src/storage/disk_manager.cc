@@ -28,7 +28,6 @@ void DiskManager::SimulateLatency() const {
 PageId DiskManager::AllocatePage() {
   std::lock_guard<std::mutex> lock(mutex_);
   pages_.push_back(std::make_unique<Page>());
-  live_.push_back(true);
   ++stats_.allocations;
   return static_cast<PageId>(pages_.size() - 1);
 }
@@ -43,7 +42,7 @@ Status DiskManager::ReadPage(PageId id, Page* page) {
   TMAN_RETURN_IF_ERROR(fault_injector_.Check("disk.read"));
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    if (id >= pages_.size() || !live_[id]) {
+    if (id >= pages_.size() || pages_[id] == nullptr) {
       return Status::IoError("read of invalid page " + std::to_string(id));
     }
     *page = *pages_[id];
@@ -58,7 +57,7 @@ Status DiskManager::WritePage(PageId id, const Page& page) {
   Status torn = fault_injector_.Check("disk.write.short");
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    if (id >= pages_.size() || !live_[id]) {
+    if (id >= pages_.size() || pages_[id] == nullptr) {
       return Status::IoError("write of invalid page " + std::to_string(id));
     }
     if (!torn.ok()) {
@@ -88,10 +87,10 @@ Status DiskManager::Sync() {
 
 Status DiskManager::DeallocatePage(PageId id) {
   std::lock_guard<std::mutex> lock(mutex_);
-  if (id >= pages_.size() || !live_[id]) {
+  if (id >= pages_.size() || pages_[id] == nullptr) {
     return Status::IoError("deallocate of invalid page " + std::to_string(id));
   }
-  live_[id] = false;
+  pages_[id].reset();
   return Status::OK();
 }
 

@@ -54,7 +54,8 @@ class DiskManager {
   /// failure as "nothing since the previous successful Sync is durable".
   Status Sync();
 
-  /// Frees a page (contents become invalid). Freed ids are not reused.
+  /// Frees a page and its memory. Freed ids are not reused: a later read,
+  /// write or deallocate of the id returns IoError.
   Status DeallocatePage(PageId id);
 
   uint64_t num_pages() const;
@@ -70,7 +71,7 @@ class DiskManager {
   }
 
   /// The fault injector shared by this disk and every structure layered
-  /// on it (buffer pool, heap tables, table queues all consult this
+  /// on it (buffer pool, heap tables and the WAL all consult this
   /// instance), so one injector arms/clears fault sites across the whole
   /// storage stack. Page reads check "disk.read", writes "disk.write".
   FaultInjector* fault_injector() { return &fault_injector_; }
@@ -87,8 +88,7 @@ class DiskManager {
   void SimulateLatency() const;
 
   mutable std::mutex mutex_;
-  std::vector<std::unique_ptr<Page>> pages_;
-  std::vector<bool> live_;
+  std::vector<std::unique_ptr<Page>> pages_;  // null = deallocated
   DiskStats stats_;
   std::atomic<uint64_t> access_latency_ns_;
   FaultInjector fault_injector_;

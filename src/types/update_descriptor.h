@@ -64,7 +64,7 @@ struct UpdateDescriptor {
     return op == OpCode::kDelete ? *old_tuple : *new_tuple;
   }
 
-  /// Serialization for the persistent update-descriptor queue table.
+  /// Serialization for the write-ahead log (the persistent update queue).
   void Serialize(std::string* out) const;
   static Result<UpdateDescriptor> Deserialize(std::string_view data);
 

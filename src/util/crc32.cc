@@ -1,32 +1,58 @@
 #include "util/crc32.h"
 
 #include <array>
+#include <bit>
+#include <cstring>
 
 namespace tman {
 
 namespace {
 
-constexpr std::array<uint32_t, 256> MakeCrcTable() {
-  std::array<uint32_t, 256> table{};
+static_assert(std::endian::native == std::endian::little,
+              "slicing-by-8 reads words little-endian");
+
+using CrcTables = std::array<std::array<uint32_t, 256>, 8>;
+
+// kCrcTables[0] is the classic bytewise table. kCrcTables[k][b] is the
+// CRC contribution of byte b followed by k zero bytes, which lets eight
+// input bytes be folded in with eight independent lookups.
+constexpr CrcTables MakeCrcTables() {
+  CrcTables t{};
   for (uint32_t i = 0; i < 256; ++i) {
     uint32_t c = i;
     for (int k = 0; k < 8; ++k) {
       c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
     }
-    table[i] = c;
+    t[0][i] = c;
   }
-  return table;
+  for (size_t k = 1; k < 8; ++k) {
+    for (uint32_t i = 0; i < 256; ++i) {
+      t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFFu];
+    }
+  }
+  return t;
 }
 
-constexpr std::array<uint32_t, 256> kCrcTable = MakeCrcTable();
+constexpr CrcTables kCrcTables = MakeCrcTables();
 
 }  // namespace
 
 uint32_t Crc32(const void* data, size_t n, uint32_t seed) {
   const auto* p = static_cast<const unsigned char*>(data);
+  const auto& t = kCrcTables;
   uint32_t c = seed ^ 0xFFFFFFFFu;
-  for (size_t i = 0; i < n; ++i) {
-    c = kCrcTable[(c ^ p[i]) & 0xFFu] ^ (c >> 8);
+  for (; n >= 8; p += 8, n -= 8) {
+    uint32_t lo;
+    uint32_t hi;
+    std::memcpy(&lo, p, 4);
+    std::memcpy(&hi, p + 4, 4);
+    lo ^= c;
+    c = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^
+        t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^
+        t[2][(hi >> 8) & 0xFFu] ^ t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
+  }
+  for (; n > 0; ++p, --n) {
+    c = t[0][(c ^ *p) & 0xFFu] ^ (c >> 8);
   }
   return c ^ 0xFFFFFFFFu;
 }

@@ -40,9 +40,6 @@ struct FaultSiteStats {
 ///                                      tears the write: a prefix lands)
 ///   buffer.fetch / buffer.new /
 ///   buffer.flush                       BufferPool entry points
-///   table_queue.push / .push.meta /
-///   table_queue.pop / .pop.meta        TableQueue, before and after the
-///                                      record mutation (mid-operation)
 ///   wal.append / wal.write /
 ///   wal.fsync / wal.truncate           write-ahead log (storage/wal.h)
 ///   executor.task                      task execution in TmanTest/drivers

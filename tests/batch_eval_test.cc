@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <map>
 #include <random>
 #include <thread>
 
@@ -738,7 +739,6 @@ class BatchPipelineTest : public ::testing::Test {
     tman_.reset();
     db_ = std::make_unique<Database>();
     TriggerManagerOptions options;
-    options.persistent_queue = false;  // memory mode: the batched path
     options.batch_size = batch_size;
     tman_ = std::make_unique<TriggerManager>(db_.get(), options);
     ASSERT_TRUE(tman_->Open().ok());
@@ -811,6 +811,98 @@ TEST_F(BatchPipelineTest, BatchedPipelineRunsDriversToo) {
   tman_->Drain();
   tman_->Stop();
   EXPECT_EQ(tman_->stats().tokens_processed, 300u);
+}
+
+// ---------------------------------------------------------------------------
+// Staging differential: memory staging ≡ durable WAL staging, at every
+// batch size and condition-partition count
+// ---------------------------------------------------------------------------
+
+/// Runs a mixed workload (a selection, a stream-stream join with stored
+/// memories and a group-by aggregate; inserts and deletes) and returns
+/// the multiset of raised events.
+std::map<std::string, int> StagingFirings(bool durable, uint32_t batch_size,
+                                          uint32_t partitions) {
+  Database db;
+  TriggerManagerOptions options;
+  options.durable_wal = durable;
+  options.batch_size = batch_size;
+  options.condition_partitions = partitions;
+  TriggerManager tman(&db, options);
+  EXPECT_TRUE(tman.Open().ok());
+  auto orders = tman.DefineStreamSource(
+      "orders", Schema({{"oid", DataType::kInt},
+                        {"cust", DataType::kInt},
+                        {"amount", DataType::kInt}}));
+  auto ships = tman.DefineStreamSource(
+      "shipments",
+      Schema({{"oid", DataType::kInt}, {"status", DataType::kVarchar}}));
+  EXPECT_TRUE(orders.ok() && ships.ok());
+  for (const char* cmd :
+       {"create trigger big from orders when orders.amount > 700 "
+        "do raise event Big(orders.oid, orders.amount)",
+        "create trigger shipped from orders o, shipments s "
+        "when o.oid = s.oid and s.status = 'shipped' "
+        "do raise event Shipped(o.oid, o.cust)",
+        "create trigger spender from orders o group by o.cust "
+        "having sum(o.amount) > 3000 do raise event Spender(o.cust)"}) {
+    auto r = tman.ExecuteCommand(cmd);
+    EXPECT_TRUE(r.ok()) << cmd << " -> " << r.status().ToString();
+  }
+  std::map<std::string, int> firings;
+  tman.events().Register("*", [&](const Event& e) { ++firings[e.ToString()]; });
+
+  std::mt19937 rng(2024);
+  std::vector<Tuple> live_orders;
+  std::vector<UpdateDescriptor> batch;
+  for (int i = 0; i < 600; ++i) {
+    const uint32_t pick = rng() % 10;
+    if (pick < 5) {
+      Tuple t({Value::Int(i), Value::Int(static_cast<int64_t>(rng() % 8)),
+               Value::Int(static_cast<int64_t>(rng() % 1000))});
+      live_orders.push_back(t);
+      batch.push_back(UpdateDescriptor::Insert(*orders, t));
+    } else if (pick < 8 || live_orders.empty()) {
+      const int64_t oid = static_cast<int64_t>(rng() % (i + 1));
+      batch.push_back(UpdateDescriptor::Insert(
+          *ships, Tuple({Value::Int(oid), Value::String(rng() % 3 == 0
+                                                           ? "held"
+                                                           : "shipped")})));
+    } else {
+      const size_t victim = rng() % live_orders.size();
+      batch.push_back(
+          UpdateDescriptor::Delete(*orders, live_orders[victim]));
+      live_orders.erase(live_orders.begin() + victim);
+    }
+    if (batch.size() == 100) {
+      EXPECT_TRUE(tman.SubmitUpdateBatch(batch).ok());
+      batch.clear();
+      EXPECT_TRUE(tman.ProcessPending().ok());
+    }
+  }
+  EXPECT_EQ(tman.stats().tokens_processed, 600u);
+  EXPECT_EQ(tman.WalPendingTokens(), 0u);
+  return firings;
+}
+
+TEST(StagingDifferentialTest, DurableFiringsMatchMemory) {
+  for (uint32_t batch_size : {1u, 64u}) {
+    for (uint32_t partitions : {1u, 2u}) {
+      const std::string context = "batch=" + std::to_string(batch_size) +
+                                  " partitions=" + std::to_string(partitions);
+      auto memory = StagingFirings(false, batch_size, partitions);
+      auto durable = StagingFirings(true, batch_size, partitions);
+      EXPECT_GT(memory.size(), 50u) << context;
+      for (const char* kind : {"Big(", "Shipped(", "Spender("}) {
+        bool raised = false;
+        for (const auto& [event, n] : memory) {
+          if (event.rfind(kind, 0) == 0) raised = true;
+        }
+        EXPECT_TRUE(raised) << context << ": no " << kind << " event";
+      }
+      EXPECT_EQ(durable, memory) << context;
+    }
+  }
 }
 
 }  // namespace

@@ -43,7 +43,6 @@ namespace {
 TriggerManagerOptions DurableOptions() {
   TriggerManagerOptions opts;
   opts.durable_wal = true;
-  opts.persistent_queue = true;
   opts.wal_checkpoint_bytes = 1024;
   return opts;
 }

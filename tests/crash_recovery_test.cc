@@ -3,7 +3,7 @@
 //
 //   1. Enumerate every fault site the durable storage stack registers
 //      (FaultInjector::RegisteredSites()) — each is a crash point.
-//   2. For each site (x countdown depth x staging mode), run a seeded
+//   2. For each site (x countdown depth x batch size), run a seeded
 //      deterministic workload (two stamped ingest sessions, a task
 //      driver, a checkpointer) against a live TriggerManager until the
 //      armed fault trips, then KILL the instance: destroy it with no
@@ -77,10 +77,12 @@ struct SessionState {
   std::vector<int64_t> ids;
 };
 
-TriggerManagerOptions DurableOptions(bool persistent) {
+// batch_size 1 stages every token as its own scalar task (the oracle);
+// 64 stages each submitted batch as one columnar group.
+TriggerManagerOptions DurableOptions(uint32_t batch_size) {
   TriggerManagerOptions opts;
   opts.durable_wal = true;
-  opts.persistent_queue = persistent;
+  opts.batch_size = batch_size;
   opts.wal_checkpoint_bytes = 1024;  // small: checkpoints happen in-test
   return opts;
 }
@@ -90,13 +92,13 @@ TriggerManagerOptions DurableOptions(bool persistent) {
 /// the site whose injected-fault count to report; `run_drivers` controls
 /// whether pre-kill tokens get processed at all. EXPECTs the durability
 /// invariants; `context` tags every failure message.
-void RunCycle(Oracle* oracle, bool persistent, uint64_t seed,
+void RunCycle(Oracle* oracle, uint32_t batch_size, uint64_t seed,
               const std::function<void(FaultInjector*)>& arm,
               const std::string& stat_site, bool run_drivers,
               const std::string& context) {
   Database db;
   FaultInjector* faults = db.disk()->fault_injector();
-  TriggerManagerOptions opts = DurableOptions(persistent);
+  TriggerManagerOptions opts = DurableOptions(batch_size);
   Schema feed({{"id", DataType::kInt}});
   DataSourceId ds = 0;
 
@@ -283,16 +285,15 @@ void RunCycle(Oracle* oracle, bool persistent, uint64_t seed,
 
 TEST(CrashRecoveryTest, DurableStackRegistersAllCrashPoints) {
   Database db;
-  TriggerManager tman(&db, DurableOptions(/*persistent=*/true));
+  TriggerManager tman(&db, DurableOptions(/*batch_size=*/64));
   ASSERT_TRUE(tman.Open().ok());
   std::vector<std::string> sites =
       db.disk()->fault_injector()->RegisteredSites();
   std::set<std::string> have(sites.begin(), sites.end());
   for (const char* site :
        {"disk.read", "disk.write", "disk.write.short", "disk.sync",
-        "buffer.fetch", "buffer.new", "buffer.flush", "table_queue.push",
-        "table_queue.push.meta", "table_queue.pop", "table_queue.pop.meta",
-        "wal.append", "wal.write", "wal.fsync", "wal.truncate"}) {
+        "buffer.fetch", "buffer.new", "buffer.flush", "wal.append",
+        "wal.write", "wal.fsync", "wal.truncate"}) {
     EXPECT_TRUE(have.count(site)) << "site not registered: " << site;
   }
 }
@@ -300,11 +301,11 @@ TEST(CrashRecoveryTest, DurableStackRegistersAllCrashPoints) {
 // --- clean kill: acked-but-unprocessed tokens replay exactly once ------
 
 TEST(CrashRecoveryTest, CleanKillReplaysAckedUnprocessedExactlyOnce) {
-  for (bool persistent : {false, true}) {
+  for (uint32_t batch_size : {1u, 64u}) {
     // No drivers: every acked token is still unprocessed at the kill.
     Oracle o;
-    RunCycle(&o, persistent, /*seed=*/7, /*arm=*/{}, /*stat_site=*/"",
-             /*run_drivers=*/false, persistent ? "persistent" : "memory");
+    RunCycle(&o, batch_size, /*seed=*/7, /*arm=*/{}, /*stat_site=*/"",
+             /*run_drivers=*/false, "batch=" + std::to_string(batch_size));
     EXPECT_FALSE(o.crashed);
     EXPECT_EQ(o.acked.size(),
               static_cast<size_t>(2 * kBatchesPerSession * kTokensPerBatch));
@@ -321,31 +322,30 @@ TEST(CrashRecoveryTest, KillAndRecoverAtEveryRegisteredFaultSite) {
   std::map<std::string, uint64_t> tripped;  // site -> total injected faults
   std::set<std::string> must_trip;
   uint64_t seed = 1;
-  for (bool persistent : {false, true}) {
-    // Enumerate the sites this mode's stack registers.
+  for (uint32_t batch_size : {1u, 64u}) {
+    // Enumerate the sites the durable stack registers.
     std::vector<std::string> sites;
     {
       Database db;
-      TriggerManager tman(&db, DurableOptions(persistent));
+      TriggerManager tman(&db, DurableOptions(batch_size));
       ASSERT_TRUE(tman.Open().ok());
       sites = db.disk()->fault_injector()->RegisteredSites();
     }
     ASSERT_FALSE(sites.empty());
     for (const std::string& site : sites) {
-      // The workload must be able to reach every wal/disk/table_queue
-      // crash point; buffer.* sites are enumerated and armed too, but
-      // some (buffer.flush) have no durable-path caller mid-workload.
-      if (site.rfind("wal.", 0) == 0 || site.rfind("disk.", 0) == 0 ||
-          site.rfind("table_queue.", 0) == 0) {
+      // The workload must be able to reach every wal/disk crash point;
+      // buffer.* sites are enumerated and armed too, but some
+      // (buffer.flush) have no durable-path caller mid-workload.
+      if (site.rfind("wal.", 0) == 0 || site.rfind("disk.", 0) == 0) {
         must_trip.insert(site);
       }
       for (uint64_t hits : {0u, 1u, 4u}) {
         std::string context =
-            std::string(persistent ? "persistent" : "memory") + "/" + site +
+            "batch=" + std::to_string(batch_size) + "/" + site +
             "/hits=" + std::to_string(hits) + "/seed=" +
             std::to_string(seed);
         Oracle o;
-        RunCycle(&o, persistent, seed++,
+        RunCycle(&o, batch_size, seed++,
                  [&](FaultInjector* f) { f->ArmCountdown(site, hits); },
                  /*stat_site=*/site, /*run_drivers=*/true, context);
         tripped[site] += o.site_faults;
@@ -363,16 +363,13 @@ TEST(CrashRecoveryTest, KillAndRecoverAtEveryRegisteredFaultSite) {
 
 TEST(CrashRecoveryTest, SeededFaultStormsRecover) {
   for (uint64_t seed = 1; seed <= 12; ++seed) {
-    bool persistent = (seed % 2) == 0;
+    uint32_t batch_size = (seed % 2) == 0 ? 64 : 1;
     std::string context = "storm/seed=" + std::to_string(seed);
     Oracle o;
-    RunCycle(&o, persistent, seed,
+    RunCycle(&o, batch_size, seed,
              [&](FaultInjector* f) {
                f->ArmProbability("wal.*", 0.04, seed * 13 + 1);
                f->ArmProbability("disk.sync", 0.02, seed * 13 + 2);
-               if (persistent) {
-                 f->ArmProbability("table_queue.*", 0.02, seed * 13 + 3);
-               }
              },
              /*stat_site=*/"", /*run_drivers=*/true, context);
     if (::testing::Test::HasFatalFailure()) return;
@@ -383,7 +380,7 @@ TEST(CrashRecoveryTest, SeededFaultStormsRecover) {
 
 TEST(CrashRecoveryTest, FaultDuringRecoveryFailsCleanlyThenSucceeds) {
   Database db;
-  TriggerManagerOptions opts = DurableOptions(/*persistent=*/true);
+  TriggerManagerOptions opts = DurableOptions(/*batch_size=*/64);
   Schema feed({{"id", DataType::kInt}});
   {
     TriggerManager a(&db, opts);
@@ -440,7 +437,7 @@ TEST(CrashRecoveryTest, FaultDuringRecoveryFailsCleanlyThenSucceeds) {
 
 TEST(CrashRecoveryTest, CheckpointDuringFailedCommitDoesNotResurrectBatch) {
   Database db;
-  TriggerManagerOptions opts = DurableOptions(/*persistent=*/false);
+  TriggerManagerOptions opts = DurableOptions(/*batch_size=*/64);
   Schema feed({{"id", DataType::kInt}});
   std::map<int64_t, int> fired_pre, fired_post;
   {
@@ -516,32 +513,114 @@ TEST(CrashRecoveryTest, CheckpointDuringFailedCommitDoesNotResurrectBatch) {
   }
 }
 
-// --- staged-queue dequeue failures must surface ------------------------
+// --- one failing token mid-group: only it replays ----------------------
+//
+// A WAL group reports its lanes one by one: a token whose processing
+// fails keeps its pending entry, so the next recovery replays it, while
+// its batch-mates complete and never replay. Here token 7's condition
+// divides by zero, failing its lane in both the scalar and the batched
+// pipeline.
 
-TEST(CrashRecoveryTest, StagedQueueDequeueErrorSurfacesFromPumpTask) {
+TEST(CrashRecoveryTest, FailedTokenMidGroupAloneReplaysAfterKill) {
+  constexpr int64_t kTokens = 16;
+  constexpr int64_t kPoisoned = 7;
+  for (uint32_t batch_size : {1u, 64u}) {
+    const std::string context = "batch=" + std::to_string(batch_size);
+    Database db;
+    TriggerManagerOptions opts = DurableOptions(batch_size);
+    Schema feed({{"id", DataType::kInt}});
+    std::map<int64_t, int> fired_pre, fired_post;
+    {
+      TriggerManager a(&db, opts);
+      ASSERT_TRUE(a.Open().ok());
+      auto ds = a.DefineStreamSource("feed", feed);
+      ASSERT_TRUE(ds.ok());
+      ASSERT_TRUE(a.ExecuteCommand("create trigger watch from feed "
+                                   "when feed.id >= 0 "
+                                   "do raise event Seen(feed.id)")
+                      .ok());
+      ASSERT_TRUE(a.ExecuteCommand("create trigger poison from feed "
+                                   "when 100 / (feed.id - 7) > 1000 "
+                                   "do raise event Never(feed.id)")
+                      .ok());
+      a.events().Register("Seen", [&](const Event& e) {
+        fired_pre[e.args[0].as_int()]++;
+      });
+      std::vector<UpdateDescriptor> tokens;
+      for (int64_t id = 0; id < kTokens; ++id) {
+        tokens.push_back(
+            UpdateDescriptor::Insert(*ds, Tuple({Value::Int(id)})));
+      }
+      ASSERT_TRUE(a.SubmitUpdateBatch(tokens).ok()) << context;
+      ASSERT_TRUE(a.ProcessPending().ok()) << context;
+      EXPECT_EQ(a.WalPendingTokens(), 1u) << context;
+      // Make the batch-mates' processed markers durable, then kill.
+      ASSERT_TRUE(a.CheckpointWal().ok()) << context;
+    }
+    {
+      TriggerManager b(&db, opts);
+      ASSERT_TRUE(b.Open().ok()) << context;
+      EXPECT_EQ(b.last_recovery().tokens_replayed, 1u) << context;
+      // Dropping the failing trigger lets the replayed token complete.
+      ASSERT_TRUE(b.DropTrigger("poison").ok()) << context;
+      b.events().Register("Seen", [&](const Event& e) {
+        fired_post[e.args[0].as_int()]++;
+      });
+      ASSERT_TRUE(b.ProcessPending().ok()) << context;
+      EXPECT_EQ(b.WalPendingTokens(), 0u) << context;
+    }
+    for (int64_t id = 0; id < kTokens; ++id) {
+      if (id == kPoisoned) continue;
+      EXPECT_EQ(fired_pre[id], 1) << context << " token " << id;
+      EXPECT_EQ(fired_post.count(id), 0u)
+          << context << " completed token " << id << " replayed";
+    }
+    EXPECT_EQ(fired_post[kPoisoned], 1) << context;
+  }
+}
+
+// --- checkpoint write amplification under a backlog --------------------
+//
+// Every checkpoint re-logs all pending tokens. A trigger keyed on absolute
+// retained bytes alone fires on every batch once the backlog outgrows the
+// threshold, re-logging the whole backlog each time; the relative trigger
+// (retained > twice the last checkpoint) keeps the bytes appended within a
+// constant factor of a log that never checkpoints.
+
+uint64_t BytesAppendedUnderBacklog(uint64_t checkpoint_bytes) {
+  constexpr int64_t kTokens = 50000;
+  constexpr size_t kBatch = 256;
   Database db;
-  TriggerManagerOptions opts = DurableOptions(/*persistent=*/true);
-  Schema feed({{"id", DataType::kInt}});
-  TriggerManager a(&db, opts);
-  ASSERT_TRUE(a.Open().ok());
-  auto ds = a.DefineStreamSource("feed", feed);
-  ASSERT_TRUE(ds.ok());
-  ASSERT_TRUE(
-      a.SubmitUpdate(UpdateDescriptor::Insert(*ds, Tuple({Value::Int(7)})))
-          .ok());
-  // The submit staged one pump task. A dequeue failure that is not
-  // NotFound (here: injected corruption) must propagate from the task,
-  // not read as "another pump already consumed it".
-  db.disk()->fault_injector()->ArmCountdown("table_queue.pop", 0,
-                                            StatusCode::kCorruption);
-  Task t;
-  ASSERT_TRUE(a.task_queue().TryPop(&t));
-  Status st = t.work();
-  EXPECT_FALSE(st.ok());
-  EXPECT_EQ(st.code(), StatusCode::kCorruption) << st.ToString();
-  db.disk()->fault_injector()->ClearAll();
-  // The token stays durably pending, so the next recovery replays it.
-  EXPECT_EQ(a.WalPendingTokens(), 1u);
+  TriggerManagerOptions opts;
+  opts.durable_wal = true;
+  opts.wal_checkpoint_bytes = checkpoint_bytes;
+  TriggerManager tman(&db, opts);
+  EXPECT_TRUE(tman.Open().ok());
+  auto ds = tman.DefineStreamSource("feed", Schema({{"id", DataType::kInt}}));
+  EXPECT_TRUE(ds.ok());
+  tman.PauseProcessing();  // nothing completes: the backlog only grows
+  std::vector<UpdateDescriptor> batch;
+  for (int64_t id = 0; id < kTokens; ++id) {
+    batch.push_back(UpdateDescriptor::Insert(*ds, Tuple({Value::Int(id)})));
+    if (batch.size() == kBatch || id + 1 == kTokens) {
+      EXPECT_TRUE(tman.SubmitUpdateBatch(batch).ok());
+      batch.clear();
+    }
+  }
+  EXPECT_EQ(tman.WalPendingTokens(), static_cast<uint64_t>(kTokens));
+  return tman.stats().wal.bytes_appended;
+}
+
+TEST(CrashRecoveryTest, CheckpointWriteAmplificationBoundedUnderBacklog) {
+  const uint64_t checkpointed =
+      BytesAppendedUnderBacklog(TriggerManagerOptions().wal_checkpoint_bytes);
+  const uint64_t never = BytesAppendedUnderBacklog(uint64_t{1} << 40);
+  ASSERT_GT(never, 0u);
+  EXPECT_GT(checkpointed, never) << "no checkpoint ran under the backlog";
+  const double ratio =
+      static_cast<double>(checkpointed) / static_cast<double>(never);
+  EXPECT_LE(ratio, 4.0) << checkpointed << " bytes appended with default "
+                        << "checkpointing vs " << never << " without";
 }
 
 // --- legacy (pre-V2) checkpoint records still replay -------------------
@@ -554,7 +633,7 @@ TEST(CrashRecoveryTest, StagedQueueDequeueErrorSurfacesFromPumpTask) {
 
 TEST(CrashRecoveryTest, LegacyCheckpointRecordReplaysAfterUpgrade) {
   Database db;
-  TriggerManagerOptions opts = DurableOptions(/*persistent=*/false);
+  TriggerManagerOptions opts = DurableOptions(/*batch_size=*/64);
   Schema feed({{"id", DataType::kInt}});
   {
     TriggerManager a(&db, opts);

@@ -7,17 +7,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <deque>
-#include <memory>
 
 #include "db/database.h"
 #include "db/sql.h"
 #include "runtime/driver.h"
 #include "storage/bptree.h"
 #include "storage/heap_table.h"
-#include "storage/table_queue.h"
 #include "util/fault_injector.h"
-#include "util/random.h"
 
 namespace tman {
 namespace {
@@ -92,26 +88,6 @@ TEST(FaultInjectionTest, BPTreePropagatesFault) {
   EXPECT_TRUE(tree.SearchEqual({Value::Int(500)}).ok());
 }
 
-TEST(FaultInjectionTest, TableQueueFailsCleanly) {
-  DiskManager disk;
-  BufferPool pool(&disk, 2);
-  auto meta = TableQueue::Create(&pool);
-  ASSERT_TRUE(meta.ok());
-  TableQueue queue(&pool, *meta);
-  std::string record(1500, 'q');
-  for (int i = 0; i < 10; ++i) {
-    ASSERT_TRUE(queue.Enqueue(record).ok());
-  }
-  disk.InjectFaultAfter(0);
-  EXPECT_FALSE(queue.Enqueue(record).ok());
-  disk.ClearFaults();
-  // Queue contents survive the failed attempt.
-  EXPECT_EQ(*queue.Size(), 10u);
-  for (int i = 0; i < 10; ++i) {
-    EXPECT_TRUE(queue.Dequeue().ok()) << i;
-  }
-}
-
 TEST(FaultInjectionTest, SqlStatementsReportIoErrors) {
   DatabaseOptions opts;
   opts.buffer_pool_frames = 2;  // everything goes through the disk
@@ -172,15 +148,15 @@ TEST(FaultInjectionTest, InjectorProbabilityReplaysBySeed) {
 TEST(FaultInjectionTest, InjectorPatternsAndClear) {
   FaultInjector fi;
   EXPECT_FALSE(fi.armed());
-  fi.ArmCountdown("table_queue.*", 0);
+  fi.ArmCountdown("wal.*", 0);
   fi.ArmCountdown("disk.write", 0);
   EXPECT_TRUE(fi.armed());
-  EXPECT_FALSE(fi.Check("table_queue.push").ok());
-  EXPECT_FALSE(fi.Check("table_queue.pop.meta").ok());
+  EXPECT_FALSE(fi.Check("wal.append").ok());
+  EXPECT_FALSE(fi.Check("wal.fsync").ok());
   EXPECT_FALSE(fi.Check("disk.write").ok());
   EXPECT_TRUE(fi.Check("disk.read").ok());  // exact pattern ≠ sibling site
-  fi.Clear("table_queue.*");
-  EXPECT_TRUE(fi.Check("table_queue.push").ok());
+  fi.Clear("wal.*");
+  EXPECT_TRUE(fi.Check("wal.append").ok());
   EXPECT_FALSE(fi.Check("disk.write").ok());
   EXPECT_EQ(fi.total_faults(), 4u);
   fi.ClearAll();
@@ -215,117 +191,6 @@ TEST(FaultInjectionTest, ExecutorTaskFaultsCountedWithoutWedging) {
   EXPECT_EQ(executed, 8);
   EXPECT_EQ(queue.in_flight(), 0u);
   EXPECT_EQ(fi.site_stats("executor.task").faults, 4u);
-}
-
-// --- TableQueue mid-operation faults ----------------------------------------
-
-TEST(FaultInjectionTest, TableQueueMidPushLeavesQueueRecoverable) {
-  DiskManager disk;
-  BufferPool pool(&disk, 4);
-  auto meta = TableQueue::Create(&pool);
-  ASSERT_TRUE(meta.ok());
-  TableQueue queue(&pool, *meta);
-  for (int i = 0; i < 5; ++i) {
-    ASSERT_TRUE(queue.Enqueue("pre" + std::to_string(i)).ok());
-  }
-  // Fail the final meta write: the record is already placed in the data
-  // page, so this is the worst crash point of Enqueue.
-  disk.fault_injector()->ArmCountdown("table_queue.push.meta", 0);
-  EXPECT_FALSE(queue.Enqueue("ghost").ok());
-  EXPECT_FALSE(queue.Enqueue("ghost2").ok());
-  disk.fault_injector()->ClearAll();
-  // The failed pushes never happened: count, order and contents intact,
-  // and the queue accepts new records.
-  ASSERT_TRUE(queue.Size().ok());
-  EXPECT_EQ(*queue.Size(), 5u);
-  ASSERT_TRUE(queue.Enqueue("post").ok());
-  for (int i = 0; i < 5; ++i) {
-    auto r = queue.Dequeue();
-    ASSERT_TRUE(r.ok()) << i;
-    EXPECT_EQ(*r, "pre" + std::to_string(i));
-  }
-  auto last = queue.Dequeue();
-  ASSERT_TRUE(last.ok());
-  EXPECT_EQ(*last, "post");
-  EXPECT_TRUE(queue.Empty());
-}
-
-TEST(FaultInjectionTest, TableQueueMidPopLeavesQueueRecoverable) {
-  DiskManager disk;
-  BufferPool pool(&disk, 4);
-  auto meta = TableQueue::Create(&pool);
-  ASSERT_TRUE(meta.ok());
-  TableQueue queue(&pool, *meta);
-  // Records sized so the head page drains mid-test (page deallocation is
-  // deferred until the meta write lands — exercise that path too).
-  std::string big(1500, 'a');
-  ASSERT_TRUE(queue.Enqueue(big + "0").ok());
-  ASSERT_TRUE(queue.Enqueue(big + "1").ok());
-  ASSERT_TRUE(queue.Enqueue(big + "2").ok());
-  disk.fault_injector()->ArmCountdown("table_queue.pop.meta", 0);
-  EXPECT_FALSE(queue.Dequeue().ok());
-  disk.fault_injector()->ClearAll();
-  // The failed pop did not consume the record: each comes out exactly once.
-  EXPECT_EQ(*queue.Size(), 3u);
-  for (int i = 0; i < 3; ++i) {
-    auto r = queue.Dequeue();
-    ASSERT_TRUE(r.ok()) << i;
-    EXPECT_EQ(*r, big + std::to_string(i));
-  }
-  EXPECT_TRUE(queue.Empty());
-  EXPECT_FALSE(queue.Dequeue().ok());  // NotFound, not a stale record
-}
-
-TEST(FaultInjectionTest, TableQueueSurvivesSeededFaultStormAndReopen) {
-  // Random operations under a seeded probability storm on every
-  // table_queue site. Invariant (the persistent update-queue safety the
-  // paper claims): an operation that returned an error did not happen, so
-  // the queue must always equal the reference deque of successful ops —
-  // including after a flush and reopen of the whole storage stack.
-  for (uint64_t seed = 1; seed <= 25; ++seed) {
-    DiskManager disk;
-    auto pool = std::make_unique<BufferPool>(&disk, 4);
-    auto meta = TableQueue::Create(pool.get());
-    ASSERT_TRUE(meta.ok());
-    auto queue = std::make_unique<TableQueue>(pool.get(), *meta);
-    Random rng(seed);
-    std::deque<std::string> reference;
-    int next_record = 0;
-    disk.fault_injector()->ArmProbability("table_queue.*", 0.35, seed ^ 0xfa);
-    for (int op = 0; op < 120; ++op) {
-      if (rng.Bernoulli(0.6)) {
-        std::string rec(rng.UniformRange(1, 1200), 'r');
-        rec += std::to_string(next_record++);
-        if (queue->Enqueue(rec).ok()) reference.push_back(rec);
-      } else {
-        auto r = queue->Dequeue();
-        if (r.ok()) {
-          ASSERT_FALSE(reference.empty())
-              << "dequeued from empty queue; reproducing seed: " << seed;
-          EXPECT_EQ(*r, reference.front()) << "reproducing seed: " << seed;
-          reference.pop_front();
-        }
-      }
-    }
-    disk.fault_injector()->ClearAll();
-    // Reopen: flush every dirty frame, then rebuild the pool and queue
-    // over the same disk, as after a process restart.
-    ASSERT_TRUE(pool->FlushAll().ok());
-    queue.reset();
-    pool = std::make_unique<BufferPool>(&disk, 4);
-    queue = std::make_unique<TableQueue>(pool.get(), *meta);
-    ASSERT_TRUE(queue->Size().ok()) << "reproducing seed: " << seed;
-    EXPECT_EQ(*queue->Size(), reference.size())
-        << "reproducing seed: " << seed;
-    while (!reference.empty()) {
-      auto r = queue->Dequeue();
-      ASSERT_TRUE(r.ok()) << "lost record; reproducing seed: " << seed;
-      EXPECT_EQ(*r, reference.front()) << "reproducing seed: " << seed;
-      reference.pop_front();
-    }
-    EXPECT_TRUE(queue->Empty()) << "duplicate records; reproducing seed: "
-                                << seed;
-  }
 }
 
 }  // namespace

@@ -42,6 +42,28 @@ TEST(Crc32Test, IncrementalMatchesOneShot) {
   EXPECT_EQ(part, whole);
 }
 
+TEST(Crc32Test, MatchesBitwiseDefinitionAtEveryLengthAndOffset) {
+  // The word-at-a-time loop must agree with the polynomial computed one
+  // bit at a time, across tail lengths and unaligned starts.
+  auto bitwise = [](const unsigned char* p, size_t n) {
+    uint32_t c = 0xFFFFFFFFu;
+    for (size_t i = 0; i < n; ++i) {
+      c ^= p[i];
+      for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+    }
+    return c ^ 0xFFFFFFFFu;
+  };
+  std::string data;
+  for (int i = 0; i < 80; ++i) data.push_back(static_cast<char>(i * 37 + 11));
+  const auto* bytes = reinterpret_cast<const unsigned char*>(data.data());
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t n = 0; offset + n <= data.size(); ++n) {
+      ASSERT_EQ(Crc32(bytes + offset, n), bitwise(bytes + offset, n))
+          << "offset " << offset << " length " << n;
+    }
+  }
+}
+
 // --- frame header ----------------------------------------------------------
 
 TEST(WireFormatTest, FrameHeaderRoundTrip) {

@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <thread>
+#include <vector>
 
 #include "runtime/driver.h"
 #include "runtime/task_queue.h"
@@ -188,6 +189,59 @@ TEST(TaskQueueTest, ManyThreadsPushPopAllTasksSurvive) {
   auto st = q.stats();
   EXPECT_EQ(st.pushed, static_cast<uint64_t>(kProducers * kPerProducer));
   EXPECT_EQ(st.popped, st.pushed);
+}
+
+TEST(TaskQueueTest, ConcurrentPushPopNeverWrapsDepth) {
+  // A pop must never subtract a push's tasks from the depth before the
+  // push has added them: the wrapped depth reads ~1.8e19, in max_size and
+  // in size(), which the ipc credit window reads on every grant.
+  TaskQueue q(2);
+  constexpr int kProducers = 3;
+  constexpr int kRounds = 3000;
+  constexpr uint64_t kTotal = kProducers * kRounds * 3;
+  std::atomic<bool> stop{false};
+  std::atomic<size_t> max_seen{0};
+  std::vector<std::thread> threads;
+  for (int p = 0; p < kProducers; ++p) {
+    threads.emplace_back([&q] {
+      for (int i = 0; i < kRounds; ++i) {
+        q.Push(Work(TaskKind::kProcessToken, [] { return Status::OK(); }));
+        std::vector<Task> batch;
+        batch.push_back(
+            Work(TaskKind::kProcessToken, [] { return Status::OK(); }));
+        batch.push_back(
+            Work(TaskKind::kRunAction, [] { return Status::OK(); }));
+        q.PushBatch(std::move(batch));
+      }
+    });
+  }
+  for (int c = 0; c < 2; ++c) {
+    threads.emplace_back([&q, &stop] {
+      std::vector<Task> out;
+      while (!stop.load(std::memory_order_relaxed) || !q.empty()) {
+        out.clear();
+        size_t n = q.PopBatch(&out, 2);
+        for (size_t i = 0; i < n; ++i) q.MarkDone();
+      }
+    });
+  }
+  std::thread monitor([&] {
+    while (!stop.load(std::memory_order_relaxed)) {
+      size_t depth = q.size();
+      size_t seen = max_seen.load(std::memory_order_relaxed);
+      if (depth > seen) max_seen.store(depth, std::memory_order_relaxed);
+    }
+  });
+  for (int p = 0; p < kProducers; ++p) threads[p].join();
+  stop = true;
+  for (size_t t = kProducers; t < threads.size(); ++t) threads[t].join();
+  monitor.join();
+  auto st = q.stats();
+  EXPECT_EQ(st.pushed, kTotal);
+  EXPECT_EQ(st.popped, kTotal);
+  EXPECT_LE(st.max_size, st.pushed);
+  EXPECT_LE(max_seen.load(), kTotal);
+  EXPECT_EQ(q.size(), 0u);
 }
 
 TEST(TaskQueueTest, WaitPopTimesOutWhenEmpty) {

@@ -33,7 +33,6 @@ class ServerTestBase : public ::testing::Test {
                     bool start_drivers = true) {
     db_ = std::make_unique<Database>();
     TriggerManagerOptions tmo;
-    tmo.persistent_queue = false;  // one task per update descriptor
     tmo.driver_config.num_cpus = drivers == 0 ? 1 : drivers;
     tman_ = std::make_unique<TriggerManager>(db_.get(), tmo);
     ASSERT_TRUE(tman_->Open().ok());
@@ -448,7 +447,6 @@ TEST_F(ServerTest, KillAndRecoverServerDeliversExactlyOnce) {
   db_ = std::make_unique<Database>();
   TriggerManagerOptions tmo;
   tmo.durable_wal = true;
-  tmo.persistent_queue = false;
   tmo.driver_config.num_cpus = 1;
   tman_ = std::make_unique<TriggerManager>(db_.get(), tmo);
   ASSERT_TRUE(tman_->Open().ok());

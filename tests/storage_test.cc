@@ -33,10 +33,20 @@ TEST(DiskManagerTest, InvalidPageRejected) {
   DiskManager disk;
   Page page;
   EXPECT_FALSE(disk.ReadPage(42, &page).ok());
+  PageId keep = disk.AllocatePage();
+  page.data[0] = 'k';
+  ASSERT_TRUE(disk.WritePage(keep, page).ok());
   PageId p = disk.AllocatePage();
   ASSERT_TRUE(disk.DeallocatePage(p).ok());
-  EXPECT_FALSE(disk.ReadPage(p, &page).ok());
-  EXPECT_FALSE(disk.DeallocatePage(p).ok());
+  // A freed page's memory is released, but its id stays dead for every
+  // operation and is never handed out again.
+  EXPECT_EQ(disk.ReadPage(p, &page).code(), StatusCode::kIoError);
+  EXPECT_EQ(disk.WritePage(p, page).code(), StatusCode::kIoError);
+  EXPECT_EQ(disk.DeallocatePage(p).code(), StatusCode::kIoError);
+  EXPECT_NE(disk.AllocatePage(), p);
+  Page back;
+  ASSERT_TRUE(disk.ReadPage(keep, &back).ok());
+  EXPECT_EQ(back.data[0], 'k');
 }
 
 TEST(BufferPoolTest, HitAndMissAccounting) {

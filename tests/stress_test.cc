@@ -143,7 +143,6 @@ TEST(StressTest, MultiDriverBatchedSubmissionAllShardedLayers) {
   TriggerManagerOptions options;
   options.driver_config.num_drivers = 4;
   options.driver_config.period = std::chrono::milliseconds(2);
-  options.persistent_queue = false;  // hot path: in-memory delivery
   TriggerManager tman(&db, options);
   ASSERT_TRUE(tman.Open().ok());
   for (int s = 0; s < kSources; ++s) {

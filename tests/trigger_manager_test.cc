@@ -360,9 +360,9 @@ TEST_F(TriggerManagerTest, ConcurrentActionsRunAsTasks) {
   EXPECT_EQ(tman_->events().num_raised(), 1u);
 }
 
-TEST_F(TriggerManagerTest, MemoryQueueModeWorks) {
+TEST_F(TriggerManagerTest, DurableWalModeWorks) {
   TriggerManagerOptions options;
-  options.persistent_queue = false;
+  options.durable_wal = true;
   Reset(options);
   Exec("create trigger t from emp on insert do raise event E()");
   InsertEmp("x", 1, 1);
