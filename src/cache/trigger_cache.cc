@@ -114,6 +114,12 @@ void TriggerCache::EvictIfNeededLocked(Shard& shard) {
     RemoveFromRingLocked(shard, shard.hand);
     shard.slots.erase(candidate);
     shard.evictions.fetch_add(1, std::memory_order_relaxed);
+    // The ring's last entry — the one just inserted — moved into the
+    // victim's slot at the hand. Step past it, so the next sweep starts
+    // at the oldest entries instead of evicting the newcomer first.
+    if (!shard.ring.empty()) {
+      shard.hand = (shard.hand + 1) % shard.ring.size();
+    }
     // Pinned handles stay alive through their shared_ptr even after the
     // slot is gone — eviction only drops the cache's reference.
   }

@@ -1,6 +1,7 @@
 #include "core/actions.h"
 
 #include <cctype>
+#include <optional>
 
 #include "db/sql.h"
 #include "expr/eval.h"
@@ -21,7 +22,49 @@ std::string ReadIdent(const std::string& s, size_t* pos) {
   return s.substr(start, *pos - start);
 }
 
+/// Binds every graph node's variable to its schema and tuple, for the
+/// interpreter.
+Bindings NodeBindings(const ActionContext& ctx) {
+  Bindings b;
+  const auto& nodes = ctx.trigger->graph.nodes();
+  for (size_t i = 0; i < nodes.size(); ++i) {
+    b.Bind(nodes[i].info.var, &ctx.trigger->network->node_schema(i),
+           ctx.bindings[i]);
+  }
+  return b;
+}
+
 }  // namespace
+
+OwnedActionContext::OwnedActionContext(
+    std::shared_ptr<const TriggerRuntime> trigger, const ActionContext& ctx)
+    : trigger_(std::move(trigger)), token_(*ctx.token) {
+  const size_t n = trigger_->graph.nodes().size();
+  tuples_.reserve(n);
+  for (size_t i = 0; i < n; ++i) tuples_.push_back(*ctx.bindings[i]);
+  bindings_.reserve(n);
+  for (const Tuple& t : tuples_) bindings_.push_back(&t);
+  ctx_.trigger = trigger_.get();
+  ctx_.bindings = bindings_.data();
+  ctx_.token = &token_;
+  ctx_.arrival_node = ctx.arrival_node;
+}
+
+void CompileActionArgs(TriggerRuntime* trigger) {
+  trigger->compiled_args.clear();
+  const ActionSpec& action = trigger->cmd.action;
+  if (action.kind != ActionKind::kRaiseEvent || trigger->is_aggregate()) {
+    return;
+  }
+  BindingLayout layout;
+  const auto& nodes = trigger->graph.nodes();
+  for (size_t i = 0; i < nodes.size(); ++i) {
+    layout.Add(nodes[i].info.var, &trigger->network->node_schema(i));
+  }
+  for (const ExprPtr& arg : action.event_args) {
+    trigger->compiled_args.push_back(TryCompilePredicate(arg, layout));
+  }
+}
 
 Result<Value> ActionExecutor::ResolveMacro(bool is_new, const std::string& var,
                                            const std::string& attr,
@@ -38,22 +81,18 @@ Result<Value> ActionExecutor::ResolveMacro(bool is_new, const std::string& var,
           ":OLD." + var + " does not name the updated tuple variable (" +
           arrival_var + ")");
     }
-    if (!ctx.token.old_tuple.has_value()) {
+    if (!ctx.token->old_tuple.has_value()) {
       return Status::InvalidArgument(
           ":OLD reference in a trigger fired by an insert");
     }
     const Schema& schema = t->network->node_schema(ctx.arrival_node);
     TMAN_ASSIGN_OR_RETURN(size_t f, schema.RequireField(attr));
-    return ctx.token.old_tuple->at(f);
+    return ctx.token->old_tuple->at(f);
   }
 
   // :NEW — qualified: the named variable's binding; unqualified: the
   // unique binding that has the attribute.
-  Bindings b;
-  for (size_t i = 0; i < nodes.size(); ++i) {
-    b.Bind(nodes[i].info.var, &t->network->node_schema(i), &ctx.bindings[i]);
-  }
-  return b.Lookup(ToLower(var), ToLower(attr));
+  return NodeBindings(ctx).Lookup(ToLower(var), ToLower(attr));
 }
 
 Result<std::string> ActionExecutor::SubstituteMacros(
@@ -112,11 +151,18 @@ Result<std::string> ActionExecutor::SubstituteMacros(
 }
 
 Status ActionExecutor::Execute(const ActionContext& ctx) {
-  return ExecuteSpec(ctx, ctx.trigger->cmd.action);
+  return Run(ctx, ctx.trigger->cmd.action, &ctx.trigger->compiled_args);
 }
 
 Status ActionExecutor::ExecuteSpec(const ActionContext& ctx,
                                    const ActionSpec& action) {
+  return Run(ctx, action, nullptr);
+}
+
+Status ActionExecutor::Run(
+    const ActionContext& ctx, const ActionSpec& action,
+    const std::vector<std::shared_ptr<const CompiledPredicate>>*
+        compiled_args) {
   actions_.fetch_add(1, std::memory_order_relaxed);
   if (action.kind == ActionKind::kExecSql) {
     TMAN_ASSIGN_OR_RETURN(std::string sql,
@@ -131,22 +177,28 @@ Status ActionExecutor::ExecuteSpec(const ActionContext& ctx,
   }
 
   // raise event
-  Bindings b;
-  const auto& nodes = ctx.trigger->graph.nodes();
-  for (size_t i = 0; i < nodes.size(); ++i) {
-    b.Bind(nodes[i].info.var, &ctx.trigger->network->node_schema(i),
-           &ctx.bindings[i]);
-  }
+  const size_t num_nodes = ctx.trigger->graph.nodes().size();
+  std::optional<Bindings> interpreted;  // built only for a fallback
   Event event;
   event.name = action.event_name;
   event.args.reserve(action.event_args.size());
-  for (const ExprPtr& arg : action.event_args) {
-    auto v = EvalExpr(arg, b);
+  for (size_t i = 0; i < action.event_args.size(); ++i) {
+    const CompiledPredicate* program =
+        compiled_args != nullptr && i < compiled_args->size()
+            ? (*compiled_args)[i].get()
+            : nullptr;
+    Result<Value> v = Value::Null();
+    if (program != nullptr) {
+      v = program->EvalValue(ctx.bindings, num_nodes);
+    } else {
+      if (!interpreted.has_value()) interpreted = NodeBindings(ctx);
+      v = EvalExpr(action.event_args[i], *interpreted);
+    }
     if (!v.ok()) {
       errors_.fetch_add(1, std::memory_order_relaxed);
       return v.status();
     }
-    event.args.push_back(*v);
+    event.args.push_back(std::move(*v));
   }
   events_->Raise(std::move(event));
   raised_.fetch_add(1, std::memory_order_relaxed);

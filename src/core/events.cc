@@ -18,37 +18,41 @@ uint64_t EventManager::Register(const std::string& event_name,
                                 EventConsumer consumer) {
   std::lock_guard<std::mutex> lock(mutex_);
   uint64_t id = next_id_++;
-  consumers_.push_back({id, ToLower(event_name), std::move(consumer)});
+  auto next = std::make_shared<ConsumerList>(*consumers_);
+  next->push_back({id, event_name, std::move(consumer)});
+  consumers_ = std::move(next);
   return id;
 }
 
 void EventManager::Unregister(uint64_t registration_id) {
   std::lock_guard<std::mutex> lock(mutex_);
-  for (auto it = consumers_.begin(); it != consumers_.end(); ++it) {
+  auto next = std::make_shared<ConsumerList>(*consumers_);
+  for (auto it = next->begin(); it != next->end(); ++it) {
     if (it->id == registration_id) {
-      consumers_.erase(it);
+      next->erase(it);
+      consumers_ = std::move(next);
       return;
     }
   }
 }
 
 void EventManager::Raise(Event event) {
-  std::vector<EventConsumer> to_notify;
+  std::shared_ptr<const ConsumerList> consumers;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     ++raised_;
-    std::string lname = ToLower(event.name);
-    for (const Registration& r : consumers_) {
-      if (r.event_name == "*" || r.event_name == lname) {
-        to_notify.push_back(r.consumer);
-      }
-    }
+    consumers = consumers_;
     history_.push_back(event);
     while (history_.size() > history_capacity_) history_.pop_front();
   }
   // Deliver outside the lock: consumers may re-enter (e.g. create
-  // triggers or raise further events).
-  for (const EventConsumer& c : to_notify) c(event);
+  // triggers, raise further events, or unregister themselves — the
+  // snapshot keeps this delivery's list alive).
+  for (const Registration& r : *consumers) {
+    if (r.event_name == "*" || EqualsIgnoreCase(r.event_name, event.name)) {
+      r.consumer(event);
+    }
+  }
 }
 
 uint64_t EventManager::num_raised() const {

@@ -4,7 +4,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <map>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -40,7 +40,9 @@ class EventManager {
   uint64_t Register(const std::string& event_name, EventConsumer consumer);
   void Unregister(uint64_t registration_id);
 
-  /// Raises an event: delivers to consumers and appends to history.
+  /// Raises an event: delivers to consumers and appends to history. Reads
+  /// a snapshot of the consumer list and compares names case-insensitively
+  /// in place, so a raise allocates nothing beyond the history entry.
   void Raise(Event event);
 
   uint64_t num_raised() const;
@@ -52,13 +54,17 @@ class EventManager {
  private:
   struct Registration {
     uint64_t id;
-    std::string event_name;  // lowercase; "*" matches all
+    std::string event_name;  // "*" matches all
     EventConsumer consumer;
   };
+  using ConsumerList = std::vector<Registration>;
 
   const size_t history_capacity_;
   mutable std::mutex mutex_;
-  std::vector<Registration> consumers_;
+  // Copy-on-write: Register/Unregister publish a new list, Raise delivers
+  // from the snapshot it read under the lock.
+  std::shared_ptr<const ConsumerList> consumers_ =
+      std::make_shared<const ConsumerList>();
   std::deque<Event> history_;
   uint64_t next_id_ = 1;
   uint64_t raised_ = 0;

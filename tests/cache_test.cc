@@ -63,6 +63,27 @@ TEST(TriggerCacheTest, TouchOnHitProtectsFromEviction) {
   EXPECT_EQ(cache.stats().misses, 3u);  // 1 still cached
 }
 
+TEST(TriggerCacheTest, NewlyLoadedEntryIsNotTheNextVictim) {
+  // One CLOCK ring of four. Evicting to admit 5 moves the ring's newest
+  // entry (5 itself) into the victim's slot at the hand; the hand must
+  // step past it, or 5 — loaded a moment ago, still unreferenced — is
+  // the next eviction.
+  TriggerCache cache(4, [](TriggerId id) -> Result<TriggerHandle> {
+    return MakeTrigger(id);
+  }, /*num_shards=*/1);
+  for (TriggerId id = 1; id <= 4; ++id) cache.Put(id, MakeTrigger(id));
+  ASSERT_TRUE(cache.Pin(5).ok());  // evicts 1
+  EXPECT_EQ(cache.stats().evictions, 1u);
+  ASSERT_TRUE(cache.Pin(6).ok());  // must evict 2, not 5
+  EXPECT_EQ(cache.stats().evictions, 2u);
+  EXPECT_EQ(cache.size(), 4u);
+  const uint64_t misses = cache.stats().misses;
+  ASSERT_TRUE(cache.Pin(5).ok());
+  EXPECT_EQ(cache.stats().misses, misses) << "5 was evicted";
+  ASSERT_TRUE(cache.Pin(2).ok());
+  EXPECT_EQ(cache.stats().misses, misses + 1) << "2 is still resident";
+}
+
 TEST(TriggerCacheTest, EvictedButPinnedHandleStaysAlive) {
   TriggerCache cache(1, [&](TriggerId id) -> Result<TriggerHandle> {
     return MakeTrigger(id);
