@@ -212,10 +212,11 @@ BENCHMARK(BM_TaskQueuePopBatch)->Arg(8)->Arg(64)->Arg(256);
 // --- batched dispatch: columnar token-batch width sweep ---------------------
 
 // End-to-end CPU-bound pipeline (no blocking consumer) at TokenBatch
-// widths 8/64/256: ingestion chunks flow through PushBatchToShard ->
+// widths 1/8/64/256: ingestion chunks flow through PushBatchToShard ->
 // PopBatch -> ProcessTokenBatch -> the batched compiled evaluator, so
 // the per-token cost shows the batch width amortizing dispatch and
-// enabling the columnar kernels.
+// enabling the columnar kernels. Width 1 is the scalar ProcessToken
+// pipeline, the baseline the wider batches have to beat.
 void BM_TokenBatchWidth(benchmark::State& state) {
   const auto width = static_cast<uint32_t>(state.range(0));
   ScalingFixture fx(/*num_drivers=*/2, /*token_batch_width=*/width,
@@ -228,6 +229,7 @@ void BM_TokenBatchWidth(benchmark::State& state) {
   state.counters["batch"] = width;
 }
 BENCHMARK(BM_TokenBatchWidth)
+    ->Arg(1)
     ->Arg(8)
     ->Arg(64)
     ->Arg(256)

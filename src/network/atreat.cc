@@ -168,32 +168,19 @@ Result<bool> ATreatNetwork::EdgesSatisfied(
   return true;
 }
 
-Result<bool> ATreatNetwork::CatchAllSatisfied(
-    const std::vector<std::optional<Tuple>>& bound) const {
-  if (graph_.catch_all().empty()) return true;
-  // The catch-all runs with every variable bound; collect the row once.
-  bool all_bound = true;
-  std::vector<const Tuple*> row(bound.size());
-  for (size_t i = 0; i < bound.size(); ++i) {
-    if (bound[i].has_value()) {
-      row[i] = &*bound[i];
-    } else {
-      all_bound = false;
-      break;
-    }
-  }
+Result<bool> ATreatNetwork::CatchAllSatisfied(const Tuple* const* row) const {
   for (size_t ci = 0; ci < graph_.catch_all().size(); ++ci) {
-    const CompiledPredicate* prog =
-        all_bound ? catch_all_programs_[ci].get() : nullptr;
-    if (prog != nullptr) {
-      TMAN_ASSIGN_OR_RETURN(bool pass, prog->EvalBool(row.data(), row.size()));
+    if (const CompiledPredicate* prog = catch_all_programs_[ci].get()) {
+      TMAN_ASSIGN_OR_RETURN(bool pass, prog->EvalBool(row, nodes_.size()));
       if (!pass) return false;
-    } else {
-      Bindings b = MakeBindings(bound);
-      TMAN_ASSIGN_OR_RETURN(bool pass,
-                            EvalPredicate(graph_.catch_all()[ci], b));
-      if (!pass) return false;
+      continue;
     }
+    Bindings b;
+    for (size_t i = 0; i < nodes_.size(); ++i) {
+      b.Bind(graph_.nodes()[i].info.var, &nodes_[i].schema, row[i]);
+    }
+    TMAN_ASSIGN_OR_RETURN(bool pass, EvalPredicate(graph_.catch_all()[ci], b));
+    if (!pass) return false;
   }
   return true;
 }
@@ -215,13 +202,18 @@ Status ATreatNetwork::Enumerate(std::vector<std::optional<Tuple>>* bound,
                                 const std::vector<size_t>& order, size_t depth,
                                 const FiringFn& fn) const {
   if (depth == order.size()) {
-    TMAN_ASSIGN_OR_RETURN(bool pass, CatchAllSatisfied(*bound));
-    if (pass) {
-      std::vector<Tuple> firing;
-      firing.reserve(bound->size());
-      for (const auto& t : *bound) firing.push_back(t.value_or(Tuple()));
-      fn(firing);
+    // Every variable is bound here.
+    if (!graph_.catch_all().empty()) {
+      std::vector<const Tuple*> row;
+      row.reserve(bound->size());
+      for (const auto& t : *bound) row.push_back(&*t);
+      TMAN_ASSIGN_OR_RETURN(bool pass, CatchAllSatisfied(row.data()));
+      if (!pass) return Status::OK();
     }
+    std::vector<Tuple> firing;
+    firing.reserve(bound->size());
+    for (const auto& t : *bound) firing.push_back(*t);
+    fn(firing);
     return Status::OK();
   }
 
@@ -363,11 +355,6 @@ Status ATreatNetwork::MatchJoins(NetworkNodeId node, const Tuple& tuple,
   size_t n = nodes_.size();
   std::vector<std::optional<Tuple>> bound(n);
   bound[node] = tuple;
-  if (n == 1) {
-    TMAN_ASSIGN_OR_RETURN(bool pass, CatchAllSatisfied(bound));
-    if (pass) fn({tuple});
-    return Status::OK();
-  }
   // Enumeration order: BFS from the arriving node across join edges keeps
   // every step constrained; disconnected variables (cartesian) go last.
   std::vector<size_t> order;

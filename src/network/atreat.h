@@ -59,6 +59,10 @@ class ATreatNetwork {
   Status MatchJoins(NetworkNodeId node, const Tuple& tuple,
                     const FiringFn& fn) const;
 
+  /// Tests every catch-all conjunct against a complete binding: one tuple
+  /// per graph node (a single-variable trigger's token tuple, for one).
+  Result<bool> CatchAllSatisfied(const Tuple* const* row) const;
+
   const ConditionGraph& graph() const { return graph_; }
   size_t num_nodes() const { return graph_.nodes().size(); }
   bool node_stored(NetworkNodeId node) const {
@@ -94,9 +98,6 @@ class ATreatNetwork {
   /// that involves `just_bound`.
   Result<bool> EdgesSatisfied(const std::vector<std::optional<Tuple>>& bound,
                               size_t just_bound) const;
-
-  Result<bool> CatchAllSatisfied(
-      const std::vector<std::optional<Tuple>>& bound) const;
 
   Bindings MakeBindings(const std::vector<std::optional<Tuple>>& bound) const;
 

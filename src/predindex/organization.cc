@@ -23,10 +23,12 @@ Status ConstantSetOrganization::MatchPartition(
     const Probe& probe, uint32_t partition, uint32_t num_partitions,
     const std::function<void(const PredicateEntry&)>& fn) const {
   if (num_partitions <= 1) return Match(probe, fn);
-  // Round-robin assignment by exprID, as in Figure 5's partitioned
-  // triggerID sets: partition p processes every num_partitions-th entry.
+  // Round-robin assignment by triggerID, as in Figure 5's partitioned
+  // triggerID sets: partition p processes the predicates of every
+  // num_partitions-th trigger. A trigger's predicates share a partition,
+  // so the task that maintains its join memories is the one that fires it.
   return Match(probe, [&](const PredicateEntry& e) {
-    if (e.expr_id % num_partitions == partition) fn(e);
+    if (e.trigger_id % num_partitions == partition) fn(e);
   });
 }
 

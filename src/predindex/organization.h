@@ -70,7 +70,7 @@ class ConstantSetOrganization {
 
   /// Partitioned matching for condition-level concurrency (Figure 5):
   /// only entries assigned to `partition` (of `num_partitions`, round
-  /// robin by insertion id) are reported. The default filters Match.
+  /// robin by trigger id) are reported. The default filters Match.
   virtual Status MatchPartition(
       const Probe& probe, uint32_t partition, uint32_t num_partitions,
       const std::function<void(const PredicateEntry&)>& fn) const;

@@ -905,5 +905,50 @@ TEST(StagingDifferentialTest, DurableFiringsMatchMemory) {
   }
 }
 
+// A token's maintenance must not be visible to the firings of the tokens
+// ahead of it in its group: an order and its shipment in one group join
+// once, as at batch-of-one. The mixed workload has joins, deletes and
+// group-by state in every group.
+TEST(StagingDifferentialTest, BatchedFiringsMatchBatchOfOne) {
+  for (uint32_t partitions : {1u, 2u}) {
+    const std::string context = "partitions=" + std::to_string(partitions);
+    auto scalar = StagingFirings(false, 1, partitions);
+    EXPECT_GT(scalar.size(), 50u) << context;
+    EXPECT_EQ(StagingFirings(false, 64, partitions), scalar) << context;
+    EXPECT_EQ(StagingFirings(true, 64, partitions), scalar) << context;
+  }
+}
+
+TEST(StagingDifferentialTest, JoinPartnerInSameGroupFiresOnce) {
+  for (uint32_t batch_size : {1u, 64u}) {
+    SCOPED_TRACE("batch_size=" + std::to_string(batch_size));
+    Database db;
+    TriggerManagerOptions options;
+    options.batch_size = batch_size;
+    TriggerManager tman(&db, options);
+    ASSERT_TRUE(tman.Open().ok());
+    auto orders = tman.DefineStreamSource(
+        "orders", Schema({{"oid", DataType::kInt}, {"cust", DataType::kInt}}));
+    auto ships = tman.DefineStreamSource(
+        "shipments",
+        Schema({{"oid", DataType::kInt}, {"status", DataType::kVarchar}}));
+    ASSERT_TRUE(orders.ok() && ships.ok());
+    ASSERT_TRUE(tman.ExecuteCommand(
+                        "create trigger shipped from orders o, shipments s "
+                        "when o.oid = s.oid do raise event Shipped(o.oid)")
+                    .ok());
+    std::vector<UpdateDescriptor> batch;
+    for (int i = 0; i < 20; ++i) {
+      batch.push_back(UpdateDescriptor::Insert(
+          *orders, Tuple({Value::Int(i), Value::Int(100 + i)})));
+      batch.push_back(UpdateDescriptor::Insert(
+          *ships, Tuple({Value::Int(i), Value::String("shipped")})));
+    }
+    ASSERT_TRUE(tman.SubmitUpdateBatch(batch).ok());
+    ASSERT_TRUE(tman.ProcessPending().ok());
+    EXPECT_EQ(tman.events().num_raised(), 20u);
+  }
+}
+
 }  // namespace
 }  // namespace tman
