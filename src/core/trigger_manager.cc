@@ -363,8 +363,7 @@ Result<std::shared_ptr<TriggerRuntime>> TriggerManager::BuildRuntime(
   }
   TMAN_ASSIGN_OR_RETURN(
       runtime->network,
-      ATreatNetwork::Build(runtime->graph, db_, options_.network_options,
-                           schemas));
+      ATreatNetwork::Build(runtime->graph, db_, ATreatOptions{}, schemas));
   CompileActionArgs(runtime.get());
   return runtime;
 }
@@ -437,28 +436,43 @@ Status TriggerManager::InstallTrigger(const CreateTriggerCmd& cmd,
     aggregate = std::move(*ev);
   }
 
-  // Prime stored alpha memories from current table contents.
-  TMAN_RETURN_IF_ERROR(runtime->network->Prime());
-
+  // Local-table nodes are virtual, so there is nothing to prime: stored
+  // nodes read their source's shared store from publication on.
   runtime->aggregate = aggregate;
+  std::set<DataSourceId> stored_sources;
+  for (size_t i = 0; i < runtime->graph.nodes().size(); ++i) {
+    if (runtime->network->node_stored(static_cast<NetworkNodeId>(i))) {
+      stored_sources.insert(runtime->graph.nodes()[i].info.source_id);
+    }
+  }
   {
     std::unique_lock lock(meta_mutex_);
     TriggerMeta meta;
     meta.flags = runtime->flags;
     meta.aggregate = std::move(aggregate);
     meta.expr_ids = std::move(expr_ids);
-    if (runtime->multi_variable() || runtime->is_aggregate()) {
-      for (const auto& node : runtime->graph.nodes()) {
-        meta.maintained_sources.insert(node.info.source_id);
-      }
-      for (DataSourceId source : meta.maintained_sources) {
-        StatefulTriggers& ids = stateful_triggers_[source];
-        auto next = ids == nullptr ? std::make_shared<std::set<TriggerId>>()
-                                   : std::make_shared<std::set<TriggerId>>(*ids);
-        next->insert(trigger_id);
-        ids = std::move(next);
-      }
+    meta.install_seq = ++maintenance_seq_;
+    meta.maintained_sources = stored_sources;
+    if (runtime->is_aggregate()) {
+      meta.maintained_sources.insert(runtime->graph.nodes()[0].info.source_id);
     }
+    const uint32_t parts = std::max(1u, options_.condition_partitions);
+    for (DataSourceId source : meta.maintained_sources) {
+      MaintenanceState& state = maintenance_[source];
+      auto next = state == nullptr
+                      ? std::make_shared<SourceMaintenance>()
+                      : std::make_shared<SourceMaintenance>(*state);
+      next->stores.resize(parts);
+      if (runtime->is_aggregate()) next->aggregates.insert(trigger_id);
+      if (stored_sources.count(source) > 0) {
+        next->joins[trigger_id] = meta.install_seq;
+        auto& store = next->stores[trigger_id % parts];
+        if (store == nullptr) store = std::make_shared<AlphaMemory>();
+        meta.stores[source] = store;
+      }
+      state = std::move(next);
+    }
+    AttachStores(meta, runtime.get());
     trigger_meta_[trigger_id] = std::move(meta);
     trigger_by_name_[runtime->name] = trigger_id;
   }
@@ -506,6 +520,7 @@ Status TriggerManager::CreateTrigger(const CreateTriggerCmd& cmd) {
 
 Status TriggerManager::DropTrigger(const std::string& name) {
   std::string lname = ToLower(name);
+  const uint32_t parts = std::max(1u, options_.condition_partitions);
   TriggerId id = 0;
   TriggerMeta meta;
   {
@@ -525,13 +540,22 @@ Status TriggerManager::DropTrigger(const std::string& name) {
     if (meta.flags != nullptr) {
       meta.flags->enabled.store(false, std::memory_order_release);
     }
+    // The last join trigger of a partition takes its store along; pinned
+    // runtimes keep their reference until unpinned.
     for (DataSourceId source : meta.maintained_sources) {
-      auto sit = stateful_triggers_.find(source);
-      if (sit == stateful_triggers_.end()) continue;
-      auto next = std::make_shared<std::set<TriggerId>>(*sit->second);
-      next->erase(id);
-      if (next->empty()) {
-        stateful_triggers_.erase(sit);
+      auto sit = maintenance_.find(source);
+      if (sit == maintenance_.end()) continue;
+      auto next = std::make_shared<SourceMaintenance>(*sit->second);
+      next->aggregates.erase(id);
+      if (next->joins.erase(id) > 0) {
+        bool partition_live = false;
+        for (const auto& [other, seq] : next->joins) {
+          if (other % parts == id % parts) partition_live = true;
+        }
+        if (!partition_live) next->stores[id % parts] = nullptr;
+      }
+      if (next->joins.empty() && next->aggregates.empty()) {
+        maintenance_.erase(sit);
       } else {
         sit->second = std::move(next);
       }
@@ -545,7 +569,46 @@ Status TriggerManager::DropTrigger(const std::string& name) {
     }
   }
   cache_->Invalidate(id);
+  for (const auto& [source, store] : meta.stores) {
+    PruneStore(source, id % parts);
+  }
   return catalog_->DeleteTrigger(lname);
+}
+
+void TriggerManager::AttachStores(const TriggerMeta& meta,
+                                  TriggerRuntime* runtime) const {
+  for (size_t i = 0; i < runtime->graph.nodes().size(); ++i) {
+    auto it = meta.stores.find(runtime->graph.nodes()[i].info.source_id);
+    if (it != meta.stores.end()) {
+      runtime->network->UseStore(static_cast<NetworkNodeId>(i), it->second,
+                                 meta.install_seq);
+    }
+  }
+}
+
+void TriggerManager::PruneStore(DataSourceId source, uint32_t partition) {
+  MaintenanceState state;
+  uint64_t horizon = 0;
+  {
+    std::shared_lock lock(meta_mutex_);
+    state = MaintenanceLocked(source);
+    horizon = maintenance_seq_;
+  }
+  if (state == nullptr || state->stores[partition] == nullptr) return;
+  // An entry stays while some installed join trigger's node selects it
+  // and saw it stored; entries newer than `horizon` may belong to a
+  // trigger published after `state` was read.
+  const uint32_t parts = std::max(1u, options_.condition_partitions);
+  state->stores[partition]->RemoveIf([&](const Tuple& tuple, uint64_t seq) {
+    if (seq > horizon) return false;
+    bool held = false;
+    Status s = pindex_->MatchMaintenance(
+        source, tuple, partition, parts, [&](const PredicateMatch& m) {
+          auto it = state->joins.find(m.trigger_id);
+          if (it != state->joins.end() && it->second <= seq) held = true;
+        });
+    return s.ok() && !held;
+  });
 }
 
 Status TriggerManager::SetTriggerEnabled(const std::string& name,
@@ -1283,10 +1346,10 @@ AdaptRoundReport TriggerManager::RunAdaptationRound() {
 
 void TriggerManager::Drain() { task_queue_.WaitIdle(); }
 
-TriggerManager::StatefulTriggers TriggerManager::StatefulTriggersLocked(
+TriggerManager::MaintenanceState TriggerManager::MaintenanceLocked(
     DataSourceId source) const {
-  auto it = stateful_triggers_.find(source);
-  return it == stateful_triggers_.end() ? nullptr : it->second;
+  auto it = maintenance_.find(source);
+  return it == maintenance_.end() ? nullptr : it->second;
 }
 
 Result<TriggerHandle> TriggerManager::PinMatched(TriggerId id) {
@@ -1303,37 +1366,47 @@ Result<TriggerHandle> TriggerManager::PinMatched(TriggerId id) {
 }
 
 Status TriggerManager::MaintainToken(const UpdateDescriptor& token,
-                                     const std::set<TriggerId>& stateful,
-                                     uint32_t partition,
+                                     const SourceMaintenance& state,
+                                     uint64_t seq, uint32_t partition,
                                      uint32_t num_partitions) {
+  AlphaMemory* store = state.stores[partition].get();
   // Matching here ignores event opcodes — state must track the selection
-  // result regardless of which events fire the trigger. Stateless
-  // triggers' matches are dropped before they are pinned.
+  // result regardless of which events fire the trigger. Only aggregate
+  // triggers are pinned: a join trigger's match just decides whether the
+  // tuple enters the store.
   auto maintain = [&](const Tuple& tuple, bool add) -> Status {
+    // The store holds a tuple only if some join node selected it, so an
+    // old tuple needs no match to leave it.
+    if (!add && store != nullptr) store->Remove(tuple);
+    if (state.aggregates.empty() && (!add || store == nullptr)) {
+      return Status::OK();
+    }
+    bool selected = false;
     Status inner = Status::OK();
     TMAN_RETURN_IF_ERROR(pindex_->MatchMaintenance(
         token.data_source, tuple, partition, num_partitions,
         [&](const PredicateMatch& m) {
-          if (!inner.ok() || stateful.count(m.trigger_id) == 0) return;
+          if (!inner.ok()) return;
+          if (add && !selected && state.joins.count(m.trigger_id) > 0) {
+            selected = true;
+            return;
+          }
+          if (state.aggregates.count(m.trigger_id) == 0) return;
           auto pinned = PinMatched(m.trigger_id);
           if (!pinned.ok()) {
             inner = pinned.status();
             return;
           }
-          if (*pinned == nullptr) return;
-          const TriggerRuntime& trigger = **pinned;
-          if (trigger.is_aggregate()) {
-            if (trigger.aggregate != nullptr && trigger.enabled()) {
-              Status s = RunAggregateDelta(trigger.aggregate, *pinned, token,
-                                           tuple, add, m.next_node);
-              if (!s.ok()) inner = s;
-            }
+          const TriggerHandle& trigger = *pinned;
+          if (trigger == nullptr || trigger->aggregate == nullptr ||
+              !trigger->enabled()) {
             return;
           }
-          Status s = add ? trigger.network->AddTuple(m.next_node, tuple)
-                         : trigger.network->RemoveTuple(m.next_node, tuple);
+          Status s = RunAggregateDelta(trigger->aggregate, trigger, token,
+                                       tuple, add, m.next_node);
           if (!s.ok()) inner = s;
         }));
+    if (selected && store != nullptr) store->Insert(tuple, seq);
     return inner;
   };
   if (token.old_tuple.has_value() &&
@@ -1355,14 +1428,16 @@ Status TriggerManager::ProcessToken(const UpdateDescriptor& token,
   }
   {
     StageTimer maintain_timer(&stage_metrics_, Stage::kMaintain, 1);
-    StatefulTriggers stateful;
+    MaintenanceState state;
+    uint64_t seq = 0;
     {
       std::shared_lock lock(meta_mutex_);
-      stateful = StatefulTriggersLocked(token.data_source);
+      state = MaintenanceLocked(token.data_source);
+      seq = maintenance_seq_;
     }
-    if (stateful != nullptr) {
+    if (state != nullptr) {
       TMAN_RETURN_IF_ERROR(
-          MaintainToken(token, *stateful, partition, num_partitions));
+          MaintainToken(token, *state, seq, partition, num_partitions));
     }
   }
   return FireToken(token, partition, num_partitions);
@@ -1403,14 +1478,16 @@ Status TriggerManager::ProcessTokenBatch(
     tokens_processed_.fetch_add(tokens.size(), std::memory_order_relaxed);
   }
 
-  std::vector<StatefulTriggers> stateful(tokens.size());
+  std::vector<MaintenanceState> stateful(tokens.size());
+  uint64_t seq = 0;
   {
     StageTimer maintain_timer(&stage_metrics_, Stage::kMaintain,
                               tokens.size());
     std::shared_lock lock(meta_mutex_);
     for (size_t i = 0; i < tokens.size(); ++i) {
-      stateful[i] = StatefulTriggersLocked(tokens[i].data_source);
+      stateful[i] = MaintenanceLocked(tokens[i].data_source);
     }
+    seq = maintenance_seq_;
   }
 
   // Fire passes over runs [begin, end): only a run's first token has
@@ -1425,7 +1502,7 @@ Status TriggerManager::ProcessTokenBatch(
     while (end < tokens.size() && stateful[end] == nullptr) ++end;
     if (stateful[begin] != nullptr) {
       StageTimer maintain_timer(&stage_metrics_, Stage::kMaintain, 0);
-      lane_status[begin] = MaintainToken(tokens[begin], *stateful[begin],
+      lane_status[begin] = MaintainToken(tokens[begin], *stateful[begin], seq,
                                          partition, num_partitions);
     }
     if (end - begin == 1) {
@@ -1510,13 +1587,10 @@ Status TriggerManager::RunFiring(const PredicateMatch& match,
     return Status::OK();
   }
   uint64_t fired = 0;
-  std::vector<const Tuple*> binding;
-  return trigger->network->MatchJoins(
-      match.next_node, tuple, [&](const std::vector<Tuple>& bindings) {
+  return trigger->network->MatchJoinRows(
+      match.next_node, tuple, [&](const Tuple* const* row) {
         fire_timer.set_items(++fired);
-        binding.clear();
-        for (const Tuple& t : bindings) binding.push_back(&t);
-        Fire(trigger, binding.data(), token, match.next_node);
+        Fire(trigger, row, token, match.next_node);
       });
 }
 
@@ -1576,8 +1650,7 @@ Status TriggerManager::RunAggregateDelta(
 }
 
 Result<TriggerHandle> TriggerManager::LoadTrigger(TriggerId id) {
-  std::shared_ptr<TriggerFlags> flags;
-  std::shared_ptr<GroupByEvaluator> aggregate;
+  TriggerMeta meta;
   {
     std::shared_lock lock(meta_mutex_);
     auto it = trigger_meta_.find(id);
@@ -1585,8 +1658,7 @@ Result<TriggerHandle> TriggerManager::LoadTrigger(TriggerId id) {
       return Status::NotFound("trigger " + std::to_string(id) +
                               " was dropped");
     }
-    flags = it->second.flags;
-    aggregate = it->second.aggregate;
+    meta = it->second;
   }
   TMAN_ASSIGN_OR_RETURN(auto row, catalog_->GetTriggerById(id));
   if (!row.has_value()) {
@@ -1600,15 +1672,15 @@ Result<TriggerHandle> TriggerManager::LoadTrigger(TriggerId id) {
   }
   TMAN_ASSIGN_OR_RETURN(std::shared_ptr<TriggerRuntime> runtime,
                         BuildRuntime(*create, id, row->ts_id));
-  // The reloaded runtime shares the original's enabled state and group
-  // counters.
-  runtime->flags = std::move(flags);
-  runtime->aggregate = std::move(aggregate);
-  // Re-prime stored memories from local tables. Stream-fed stored
-  // memories restart empty after eviction — replaying a stream is out of
-  // scope (the paper's persistent queue covers staged, not consumed,
-  // updates).
-  TMAN_RETURN_IF_ERROR(runtime->network->Prime());
+  // The reloaded runtime shares the original's enabled state, group
+  // counters and stored memories: its stored nodes read the source's
+  // shared store with the original install sequence, so eviction loses
+  // no stream state. (Only a reopen restarts stream memories empty —
+  // replaying a stream is out of scope: the paper's persistent queue
+  // covers staged, not consumed, updates.)
+  runtime->flags = meta.flags;
+  runtime->aggregate = meta.aggregate;
+  AttachStores(meta, runtime.get());
   return TriggerHandle(runtime);
 }
 
@@ -1637,6 +1709,14 @@ TriggerManagerStats TriggerManager::stats() const {
     st.wal = wal_->stats();
     st.wal_pending_tokens = WalPendingTokens();
   }
+  {
+    std::shared_lock lock(meta_mutex_);
+    for (const auto& [source, state] : maintenance_) {
+      for (const auto& store : state->stores) {
+        if (store != nullptr) st.stream_memory_tuples += store->size();
+      }
+    }
+  }
   st.stages = stage_metrics_.Snapshot();
   st.stages.queue_depth = task_queue_.size();
   st.stages.queue_in_flight = task_queue_.in_flight();
@@ -1655,6 +1735,8 @@ std::string TriggerManager::StatsText() const {
   out += "signatures=" + std::to_string(st.predicates.num_signatures) +
          " predicates=" + std::to_string(st.predicates.num_predicates) +
          " matches=" + std::to_string(st.predicates.matches_emitted) + "\n";
+  out += "stream_memory_tuples=" + std::to_string(st.stream_memory_tuples) +
+         "\n";
   out += st.stages.ToString();
   out += "adapt: rounds=" + std::to_string(st.adapt_rounds) +
          " switches=" + std::to_string(st.adapt_switches) +

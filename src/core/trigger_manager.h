@@ -11,6 +11,8 @@
 #include <shared_mutex>
 #include <string>
 #include <thread>
+#include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "cache/trigger_cache.h"
@@ -42,9 +44,6 @@ struct TriggerManagerOptions {
 
   /// Driver/TmanTest configuration (§6).
   DriverConfig driver_config;
-
-  /// A-TREAT construction policy.
-  ATreatOptions network_options;
 
   /// Condition-level concurrency (Figure 5): fan each token into this
   /// many partition tasks. 1 = token-level concurrency only.
@@ -118,6 +117,9 @@ struct TriggerManagerStats {
   PredicateIndexStats predicates;
   WalStats wal;                      // zeroes when durable_wal is off
   uint64_t wal_pending_tokens = 0;   // durable tokens not yet processed
+  /// Tuples held by the shared stream-source stores (physical entries,
+  /// each counted once however many join triggers' views hold it).
+  uint64_t stream_memory_tuples = 0;
   /// Live per-stage latency/throughput + queue depth (tentpole part a).
   StageMetricsSnapshot stages;
   /// Adaptation counters: rounds run, organization switches installed,
@@ -323,7 +325,30 @@ class TriggerManager {
     /// (stored alpha memories or aggregate group state); empty for a
     /// stateless trigger.
     std::set<DataSourceId> maintained_sources;
+    /// Maintenance sequence number at publication: the trigger's stored
+    /// nodes see only store entries maintained from then on.
+    uint64_t install_seq = 0;
+    /// The shared stores backing the trigger's stored nodes, by source.
+    std::map<DataSourceId, std::shared_ptr<AlphaMemory>> stores;
   };
+
+  /// The maintenance state of one data source. Replaced, never mutated,
+  /// when a trigger that keeps state fed by the source is installed or
+  /// dropped, so a token reads it under one shared lock.
+  struct SourceMaintenance {
+    /// Aggregate triggers whose group state the source feeds: the only
+    /// triggers the maintenance pass pins.
+    std::unordered_set<TriggerId> aggregates;
+    /// Join triggers with a stored node on the source, with their
+    /// install sequence numbers.
+    std::unordered_map<TriggerId, uint64_t> joins;
+    /// One store per condition partition (a trigger's predicates match in
+    /// partition id % condition_partitions); null where no join trigger
+    /// of that partition stores the source. A tuple is stored once if any
+    /// join trigger's node of the partition selects it.
+    std::vector<std::shared_ptr<AlphaMemory>> stores;
+  };
+  using MaintenanceState = std::shared_ptr<const SourceMaintenance>;
 
   /// §5.1 steps 1–5 for an already-parsed statement. When `catalog_write`
   /// is false the trigger is being reloaded and catalog rows already
@@ -334,11 +359,6 @@ class TriggerManager {
   /// Builds the TriggerRuntime (parse → condition graph → network).
   Result<std::shared_ptr<TriggerRuntime>> BuildRuntime(
       const CreateTriggerCmd& cmd, TriggerId trigger_id, uint64_t ts_id);
-
-  /// Ids of the triggers that keep state fed by one data source (stored
-  /// alpha memories of multi-variable triggers, aggregate group state).
-  /// Replaced, never mutated, so a token reads it without the lock.
-  using StatefulTriggers = std::shared_ptr<const std::set<TriggerId>>;
 
   /// Token pipeline (§5.4): memory maintenance + fire matching + joins +
   /// action execution for one partition of the predicate index.
@@ -358,16 +378,25 @@ class TriggerManager {
                            uint32_t partition, uint32_t num_partitions,
                            std::vector<Status>* per_lane = nullptr);
 
-  /// The triggers whose state tokens of `source` maintain; null when
-  /// there are none. Callers hold meta_mutex_.
-  StatefulTriggers StatefulTriggersLocked(DataSourceId source) const;
+  /// The maintenance state of `source`; null when no trigger keeps state
+  /// fed by it. Callers hold meta_mutex_.
+  MaintenanceState MaintenanceLocked(DataSourceId source) const;
 
-  /// The maintenance pass of one token (stored alpha memories, aggregate
-  /// group state) for the triggers in `stateful`, shared by the scalar
-  /// and batched pipelines.
+  /// The maintenance pass of one token, shared by the scalar and batched
+  /// pipelines: one removal from the partition's store for an old tuple,
+  /// one insertion (tagged `seq`) for a new tuple that a join node of the
+  /// partition selects, and the group-state delta of every matching
+  /// aggregate trigger.
   Status MaintainToken(const UpdateDescriptor& token,
-                       const std::set<TriggerId>& stateful,
+                       const SourceMaintenance& state, uint64_t seq,
                        uint32_t partition, uint32_t num_partitions);
+
+  /// Backs `runtime`'s stored nodes with the trigger's shared stores.
+  void AttachStores(const TriggerMeta& meta, TriggerRuntime* runtime) const;
+
+  /// Drops the entries of `source`'s store for `partition` that no
+  /// installed join trigger's view holds any more (after a drop).
+  void PruneStore(DataSourceId source, uint32_t partition);
 
   /// The fire pass of one token through the scalar predicate-index match.
   Status FireToken(const UpdateDescriptor& token, uint32_t partition,
@@ -493,10 +522,12 @@ class TriggerManager {
   std::map<TriggerId, TriggerMeta> trigger_meta_;
   std::map<std::string, TriggerId> trigger_by_name_;
   std::map<uint64_t, std::shared_ptr<std::atomic<bool>>> set_enabled_;
-  // Per source, the triggers needing the maintenance pass (multi-
-  // variable networks with stored memories, or aggregate group state);
-  // sources without any have no entry.
-  std::map<DataSourceId, StatefulTriggers> stateful_triggers_;
+  // Per source, the maintenance state (stored join memories, aggregate
+  // group state); sources without any have no entry.
+  std::map<DataSourceId, MaintenanceState> maintenance_;
+  // Bumped by every trigger publication; a token's store entries carry
+  // the value it read with its maintenance state.
+  uint64_t maintenance_seq_ = 0;
   uint64_t default_ts_id_ = 0;
   bool opened_ = false;
 

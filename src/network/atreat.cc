@@ -1,7 +1,6 @@
 #include "network/atreat.h"
 
 #include <algorithm>
-#include <deque>
 
 #include "expr/eval.h"
 
@@ -37,11 +36,21 @@ Result<std::unique_ptr<ATreatNetwork>> ATreatNetwork::Build(
       anode.stored = false;  // virtual alpha node (A-TREAT)
     } else {
       anode.stored = true;
-      anode.memory = std::make_unique<AlphaMemory>();
+      anode.memory = std::make_shared<AlphaMemory>();
     }
   }
   net->CompilePredicates();
+  net->PlanEnumeration();
   return net;
+}
+
+void ATreatNetwork::UseStore(NetworkNodeId node,
+                             std::shared_ptr<AlphaMemory> store,
+                             uint64_t min_seq) {
+  AlphaNode& anode = nodes_[node];
+  if (!anode.stored) return;
+  anode.memory = std::move(store);
+  anode.min_seq = min_seq;
 }
 
 void ATreatNetwork::CompilePredicates() {
@@ -83,33 +92,106 @@ void ATreatNetwork::CompilePredicates() {
   }
 }
 
+void ATreatNetwork::PlanEnumeration() {
+  const size_t n = nodes_.size();
+  plans_.assign(n, {});
+  for (size_t arrival = 0; arrival < n; ++arrival) {
+    std::vector<size_t> queue{arrival};
+    std::vector<bool> seen(n, false);
+    seen[arrival] = true;
+    for (size_t q = 0; q < queue.size(); ++q) {
+      for (const ConditionGraph::Edge& e : graph_.edges()) {
+        if (e.a != queue[q] && e.b != queue[q]) continue;
+        size_t w = e.a == queue[q] ? e.b : e.a;
+        if (!seen[w]) {
+          seen[w] = true;
+          queue.push_back(w);
+        }
+      }
+    }
+    for (size_t i = 0; i < n; ++i) {
+      if (!seen[i]) queue.push_back(i);
+    }
+    // Each step probes through the first equijoin conjunct `v.f ==
+    // other.g` that links it to an already-bound node.
+    std::vector<bool> bound(n, false);
+    bound[arrival] = true;
+    for (size_t k = 1; k < queue.size(); ++k) {
+      Step step;
+      step.node = queue[k];
+      const std::string& var = graph_.nodes()[step.node].info.var;
+      for (const ConditionGraph::Edge& e : graph_.edges()) {
+        if (step.probe) break;
+        if (e.a != step.node && e.b != step.node) continue;
+        size_t other = e.a == step.node ? e.b : e.a;
+        if (!bound[other]) continue;
+        const std::string& other_var = graph_.nodes()[other].info.var;
+        for (const ExprPtr& c : e.join_conjuncts) {
+          if (c->kind != ExprKind::kBinaryOp || c->bin_op != BinOp::kEq) {
+            continue;
+          }
+          const ExprPtr& l = c->children[0];
+          const ExprPtr& r = c->children[1];
+          if (l->kind != ExprKind::kColumnRef ||
+              r->kind != ExprKind::kColumnRef) {
+            continue;
+          }
+          const Expr* mine = nullptr;
+          const Expr* theirs = nullptr;
+          if (l->tuple_var == var && r->tuple_var == other_var) {
+            mine = l.get();
+            theirs = r.get();
+          } else if (r->tuple_var == var && l->tuple_var == other_var) {
+            mine = r.get();
+            theirs = l.get();
+          } else {
+            continue;
+          }
+          int my_field = nodes_[step.node].schema.FieldIndex(mine->attribute);
+          int their_field = nodes_[other].schema.FieldIndex(theirs->attribute);
+          if (my_field < 0 || their_field < 0) continue;
+          step.probe = true;
+          step.field = static_cast<size_t>(my_field);
+          step.other = other;
+          step.other_field = static_cast<size_t>(their_field);
+          break;
+        }
+      }
+      bound[step.node] = true;
+      plans_[arrival].push_back(step);
+    }
+  }
+}
+
+Result<bool> ATreatNetwork::SelectionPasses(size_t node,
+                                            const Tuple& tuple) const {
+  const AlphaNode& anode = nodes_[node];
+  if (anode.compiled_selection != nullptr) {
+    const Tuple* tuples[] = {&tuple};
+    return anode.compiled_selection->EvalBool(tuples, 1);
+  }
+  const ConditionGraph::Node& gnode = graph_.nodes()[node];
+  if (gnode.selection_conjuncts.empty()) return true;
+  Bindings b;
+  b.Bind(gnode.info.var, &anode.schema, &tuple);
+  return EvalPredicate(gnode.SelectionPredicate(), b);
+}
+
 Status ATreatNetwork::Prime() {
   if (db_ == nullptr) return Status::OK();
   for (size_t i = 0; i < nodes_.size(); ++i) {
     AlphaNode& anode = nodes_[i];
     const ConditionGraph::Node& gnode = graph_.nodes()[i];
     if (!anode.stored || !db_->HasTable(gnode.info.source_name)) continue;
-    ExprPtr selection = gnode.SelectionPredicate();
     Status inner = Status::OK();
     TMAN_RETURN_IF_ERROR(db_->Scan(
         gnode.info.source_name, [&](const Rid&, const Tuple& t) {
-          if (selection != nullptr) {
-            Result<bool> pass = false;
-            if (anode.compiled_selection != nullptr) {
-              const Tuple* tuples[] = {&t};
-              pass = anode.compiled_selection->EvalBool(tuples, 1);
-            } else {
-              Bindings b;
-              b.Bind(gnode.info.var, &anode.schema, &t);
-              pass = EvalPredicate(selection, b);
-            }
-            if (!pass.ok()) {
-              inner = pass.status();
-              return false;
-            }
-            if (!*pass) return true;
+          Result<bool> pass = SelectionPasses(i, t);
+          if (!pass.ok()) {
+            inner = pass.status();
+            return false;
           }
-          anode.memory->Insert(t);
+          if (*pass) anode.memory->Insert(t, anode.min_seq);
           return true;
         }));
     TMAN_RETURN_IF_ERROR(inner);
@@ -121,7 +203,8 @@ Status ATreatNetwork::AddTuple(NetworkNodeId node, const Tuple& tuple) const {
   if (node >= nodes_.size()) {
     return Status::InvalidArgument("bad network node id");
   }
-  if (nodes_[node].stored) nodes_[node].memory->Insert(tuple);
+  const AlphaNode& anode = nodes_[node];
+  if (anode.stored) anode.memory->Insert(tuple, anode.min_seq);
   return Status::OK();
 }
 
@@ -133,25 +216,39 @@ Status ATreatNetwork::RemoveTuple(NetworkNodeId node, const Tuple& tuple) const 
   return Status::OK();
 }
 
+size_t ATreatNetwork::memory_size(NetworkNodeId node) const {
+  const AlphaNode& anode = nodes_[node];
+  if (!anode.stored) return 0;
+  size_t n = 0;
+  anode.memory->ForEach(
+      [&](const Tuple& t) {
+        Result<bool> pass = SelectionPasses(node, t);
+        if (pass.ok() && *pass) ++n;
+        return true;
+      },
+      anode.min_seq);
+  return n;
+}
+
 Bindings ATreatNetwork::MakeBindings(
-    const std::vector<std::optional<Tuple>>& bound) const {
+    const std::vector<const Tuple*>& bound) const {
   Bindings b;
   for (size_t i = 0; i < bound.size(); ++i) {
-    if (bound[i].has_value()) {
-      b.Bind(graph_.nodes()[i].info.var, &nodes_[i].schema, &*bound[i]);
+    if (bound[i] != nullptr) {
+      b.Bind(graph_.nodes()[i].info.var, &nodes_[i].schema, bound[i]);
     }
   }
   return b;
 }
 
 Result<bool> ATreatNetwork::EdgesSatisfied(
-    const std::vector<std::optional<Tuple>>& bound, size_t just_bound) const {
+    const std::vector<const Tuple*>& bound, size_t just_bound) const {
   for (size_t ei = 0; ei < graph_.edges().size(); ++ei) {
     const ConditionGraph::Edge& e = graph_.edges()[ei];
     if (e.a != just_bound && e.b != just_bound) continue;
     size_t other = e.a == just_bound ? e.b : e.a;
-    if (!bound[other].has_value()) continue;
-    const Tuple* pair[2] = {&*bound[e.a], &*bound[e.b]};
+    if (bound[other] == nullptr) continue;
+    const Tuple* pair[2] = {bound[e.a], bound[e.b]};
     for (size_t ci = 0; ci < e.join_conjuncts.size(); ++ci) {
       const CompiledPredicate* prog = edge_programs_[ei][ci].get();
       if (prog != nullptr) {
@@ -185,199 +282,107 @@ Result<bool> ATreatNetwork::CatchAllSatisfied(const Tuple* const* row) const {
   return true;
 }
 
-namespace {
-
-/// Finds an equijoin conjunct `v.f == other.g` between the node being
-/// enumerated and an already-bound node; returns the probe field of v and
-/// the concrete value from the bound side.
-struct EquiProbe {
-  bool found = false;
-  size_t field = 0;
-  Value value;
-};
-
-}  // namespace
-
-Status ATreatNetwork::Enumerate(std::vector<std::optional<Tuple>>* bound,
-                                const std::vector<size_t>& order, size_t depth,
-                                const FiringFn& fn) const {
-  if (depth == order.size()) {
+Status ATreatNetwork::Enumerate(std::vector<const Tuple*>* bound,
+                                const std::vector<Step>& plan, size_t depth,
+                                const RowFn& fn) const {
+  if (depth == plan.size()) {
     // Every variable is bound here.
     if (!graph_.catch_all().empty()) {
-      std::vector<const Tuple*> row;
-      row.reserve(bound->size());
-      for (const auto& t : *bound) row.push_back(&*t);
-      TMAN_ASSIGN_OR_RETURN(bool pass, CatchAllSatisfied(row.data()));
+      TMAN_ASSIGN_OR_RETURN(bool pass, CatchAllSatisfied(bound->data()));
       if (!pass) return Status::OK();
     }
-    std::vector<Tuple> firing;
-    firing.reserve(bound->size());
-    for (const auto& t : *bound) firing.push_back(*t);
-    fn(firing);
+    fn(bound->data());
     return Status::OK();
   }
 
-  size_t v = order[depth];
+  const Step& step = plan[depth];
+  const size_t v = step.node;
   const ConditionGraph::Node& gnode = graph_.nodes()[v];
   const AlphaNode& anode = nodes_[v];
-
-  // Look for an equijoin probe opportunity against a bound variable.
-  EquiProbe probe;
-  for (const ConditionGraph::Edge& e : graph_.edges()) {
-    if (probe.found) break;
-    if (e.a != v && e.b != v) continue;
-    size_t other = e.a == v ? e.b : e.a;
-    if (!(*bound)[other].has_value()) continue;
-    for (const ExprPtr& c : e.join_conjuncts) {
-      if (c->kind != ExprKind::kBinaryOp || c->bin_op != BinOp::kEq) continue;
-      const ExprPtr& l = c->children[0];
-      const ExprPtr& r = c->children[1];
-      if (l->kind != ExprKind::kColumnRef || r->kind != ExprKind::kColumnRef) {
-        continue;
-      }
-      const Expr* mine = nullptr;
-      const Expr* theirs = nullptr;
-      if (l->tuple_var == gnode.info.var &&
-          r->tuple_var == graph_.nodes()[other].info.var) {
-        mine = l.get();
-        theirs = r.get();
-      } else if (r->tuple_var == gnode.info.var &&
-                 l->tuple_var == graph_.nodes()[other].info.var) {
-        mine = r.get();
-        theirs = l.get();
-      } else {
-        continue;
-      }
-      int my_field = anode.schema.FieldIndex(mine->attribute);
-      int their_field =
-          nodes_[other].schema.FieldIndex(theirs->attribute);
-      if (my_field < 0 || their_field < 0) continue;
-      probe.found = true;
-      probe.field = static_cast<size_t>(my_field);
-      probe.value = (*bound)[other]->at(static_cast<size_t>(their_field));
-      break;
-    }
-  }
+  const Value* probe =
+      step.probe ? &(*bound)[step.other]->at(step.other_field) : nullptr;
 
   Status inner = Status::OK();
   auto consider = [&](const Tuple& candidate) -> bool {
-    if (!inner.ok()) return false;
-    (*bound)[v] = candidate;
-    auto pass = EdgesSatisfied(*bound, v);
-    if (!pass.ok()) {
-      inner = pass.status();
-      (*bound)[v].reset();
+    if (probe != nullptr &&
+        (step.field >= candidate.size() || candidate.at(step.field) != *probe)) {
+      return true;
+    }
+    // A stored view and a base table both hold tuples outside this
+    // node's selection.
+    Result<bool> selected = SelectionPasses(v, candidate);
+    if (!selected.ok()) {
+      inner = selected.status();
       return false;
     }
-    if (*pass) {
-      Status s = Enumerate(bound, order, depth + 1, fn);
-      if (!s.ok()) {
-        inner = s;
-        (*bound)[v].reset();
-        return false;
-      }
+    if (!*selected) return true;
+    (*bound)[v] = &candidate;
+    Result<bool> pass = EdgesSatisfied(*bound, v);
+    Status s = pass.status();
+    if (s.ok() && *pass) s = Enumerate(bound, plan, depth + 1, fn);
+    (*bound)[v] = nullptr;
+    if (!s.ok()) {
+      inner = s;
+      return false;
     }
-    (*bound)[v].reset();
     return true;
   };
 
   if (anode.stored) {
-    if (probe.found) {
-      anode.memory->ProbeEqual(probe.field, probe.value, consider);
+    if (probe != nullptr) {
+      anode.memory->ProbeEqual(step.field, *probe, consider, anode.min_seq);
     } else {
-      anode.memory->ForEach(consider);
+      anode.memory->ForEach(consider, anode.min_seq);
     }
     return inner;
   }
 
-  // Virtual alpha node: enumerate the base table, applying the node's
-  // selection predicate on the fly. If the table has an index on the
-  // equijoin probe attribute, probe it instead of scanning — the paper's
-  // "data values ... can be processed by a query" run through the host's
-  // query machinery.
+  // Virtual alpha node: enumerate the base table. If the table has an
+  // index on the equijoin probe attribute, probe it instead of scanning —
+  // the paper's "data values ... can be processed by a query" run through
+  // the host's query machinery.
   if (db_ == nullptr || !db_->HasTable(gnode.info.source_name)) {
     return Status::Internal("virtual alpha node without a backing table: " +
                             gnode.info.source_name);
   }
-  ExprPtr selection = gnode.SelectionPredicate();
-  auto filter_and_consider = [&](const Tuple& t) -> bool {
-    if (!inner.ok()) return false;
-    if (probe.found &&
-        (probe.field >= t.size() || t.at(probe.field) != probe.value)) {
-      return true;
-    }
-    if (selection != nullptr) {
-      Result<bool> pass = false;
-      if (anode.compiled_selection != nullptr) {
-        const Tuple* tuples[] = {&t};
-        pass = anode.compiled_selection->EvalBool(tuples, 1);
-      } else {
-        Bindings b;
-        b.Bind(gnode.info.var, &anode.schema, &t);
-        pass = EvalPredicate(selection, b);
-      }
-      if (!pass.ok()) {
-        inner = pass.status();
-        return false;
-      }
-      if (!*pass) return true;
-    }
-    return consider(t);
-  };
-
-  if (probe.found && probe.field < anode.schema.num_fields()) {
+  if (probe != nullptr && step.field < anode.schema.num_fields()) {
     auto idx = db_->FindIndexOn(gnode.info.source_name,
-                                {anode.schema.field(probe.field).name});
+                                {anode.schema.field(step.field).name});
     if (idx.ok()) {
-      auto rids = db_->IndexLookup(*idx, {probe.value});
+      auto rids = db_->IndexLookup(*idx, {*probe});
       if (!rids.ok()) return rids.status();
       for (const Rid& rid : *rids) {
         auto t = db_->Get(gnode.info.source_name, rid);
         if (!t.ok()) return t.status();
-        if (!filter_and_consider(*t)) break;
+        if (!consider(*t)) break;
       }
       return inner;
     }
   }
   TMAN_RETURN_IF_ERROR(
       db_->Scan(gnode.info.source_name,
-                [&](const Rid&, const Tuple& t) {
-                  return filter_and_consider(t);
-                }));
+                [&](const Rid&, const Tuple& t) { return consider(t); }));
   return inner;
+}
+
+Status ATreatNetwork::MatchJoinRows(NetworkNodeId node, const Tuple& tuple,
+                                    const RowFn& fn) const {
+  if (node >= nodes_.size()) {
+    return Status::InvalidArgument("bad network node id");
+  }
+  std::vector<const Tuple*> bound(nodes_.size(), nullptr);
+  bound[node] = &tuple;
+  return Enumerate(&bound, plans_[node], 0, fn);
 }
 
 Status ATreatNetwork::MatchJoins(NetworkNodeId node, const Tuple& tuple,
                                  const FiringFn& fn) const {
-  if (node >= nodes_.size()) {
-    return Status::InvalidArgument("bad network node id");
-  }
-  size_t n = nodes_.size();
-  std::vector<std::optional<Tuple>> bound(n);
-  bound[node] = tuple;
-  // Enumeration order: BFS from the arriving node across join edges keeps
-  // every step constrained; disconnected variables (cartesian) go last.
-  std::vector<size_t> order;
-  std::vector<bool> seen(n, false);
-  seen[node] = true;
-  std::deque<size_t> queue{node};
-  while (!queue.empty()) {
-    size_t u = queue.front();
-    queue.pop_front();
-    for (const ConditionGraph::Edge& e : graph_.edges()) {
-      if (e.a != u && e.b != u) continue;
-      size_t w = e.a == u ? e.b : e.a;
-      if (!seen[w]) {
-        seen[w] = true;
-        order.push_back(w);
-        queue.push_back(w);
-      }
-    }
-  }
-  for (size_t i = 0; i < n; ++i) {
-    if (!seen[i]) order.push_back(i);
-  }
-  return Enumerate(&bound, order, 0, fn);
+  std::vector<Tuple> firing;
+  return MatchJoinRows(node, tuple, [&](const Tuple* const* row) {
+    firing.clear();
+    for (size_t i = 0; i < nodes_.size(); ++i) firing.push_back(*row[i]);
+    fn(firing);
+  });
 }
 
 }  // namespace tman

@@ -1,8 +1,8 @@
 #ifndef TRIGGERMAN_NETWORK_ATREAT_H_
 #define TRIGGERMAN_NETWORK_ATREAT_H_
 
+#include <functional>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "db/database.h"
@@ -26,14 +26,24 @@ struct ATreatOptions {
 /// The A-TREAT discrimination network of one trigger: one alpha node per
 /// tuple variable (stored memory or virtual), join condition testing, and
 /// a P-node that emits complete variable bindings (rule firings).
-/// Selection predicates are NOT tested here — the shared predicate index
-/// performs all selection testing and passes matched tokens to a network
-/// node (the nextNetworkNode of §5.1).
+/// Selection predicates are NOT tested on arrival — the shared predicate
+/// index performs that selection testing and passes matched tokens to a
+/// network node (the nextNetworkNode of §5.1).
+///
+/// A stored node reads its memory as a view: the entries stored at or
+/// after the node's install sequence that pass the node's selection
+/// predicate. Build gives each stored node a private memory with install
+/// sequence 0; the engine instead backs the nodes of every trigger on a
+/// stream source with one shared store (UseStore), so a tuple is stored
+/// once however many triggers' selections it passes.
 class ATreatNetwork {
  public:
   /// A complete match: one tuple per graph node, aligned with
   /// graph().nodes().
   using FiringFn = std::function<void(const std::vector<Tuple>& bindings)>;
+  /// The same match without copies: `row[i]` is graph node i's tuple,
+  /// valid for the duration of the call.
+  using RowFn = std::function<void(const Tuple* const* row)>;
 
   /// `schemas` (aligned with graph nodes) supplies each tuple variable's
   /// schema; when empty, schemas are read from the database tables named
@@ -42,13 +52,20 @@ class ATreatNetwork {
       const ConditionGraph& graph, Database* db, const ATreatOptions& options,
       const std::vector<Schema>& schemas = {});
 
+  /// Backs stored node `node` with `store` — a memory other triggers'
+  /// nodes may share — seen from install sequence `min_seq` on. Call
+  /// before the network is shared between threads.
+  void UseStore(NetworkNodeId node, std::shared_ptr<AlphaMemory> store,
+                uint64_t min_seq);
+
   /// Fills stored memories for local-table sources from current table
   /// contents (the §5.1 "prime the trigger to make it ready to run").
   Status Prime();
 
   /// Memory maintenance: the tuple passed its node's selection predicate
-  /// and must be added to / removed from the node's alpha memory. No-ops
-  /// for virtual nodes and single-variable triggers.
+  /// and must be added to / removed from the node's memory (an add is
+  /// stored with the node's install sequence). No-ops for virtual nodes
+  /// and single-variable triggers.
   Status AddTuple(NetworkNodeId node, const Tuple& tuple) const;
   Status RemoveTuple(NetworkNodeId node, const Tuple& tuple) const;
 
@@ -58,6 +75,9 @@ class ATreatNetwork {
   /// call `fn` for each complete binding.
   Status MatchJoins(NetworkNodeId node, const Tuple& tuple,
                     const FiringFn& fn) const;
+  /// MatchJoins without copying each binding out of the network.
+  Status MatchJoinRows(NetworkNodeId node, const Tuple& tuple,
+                       const RowFn& fn) const;
 
   /// Tests every catch-all conjunct against a complete binding: one tuple
   /// per graph node (a single-variable trigger's token tuple, for one).
@@ -71,14 +91,16 @@ class ATreatNetwork {
   const Schema& node_schema(NetworkNodeId node) const {
     return nodes_[node].schema;
   }
-  size_t memory_size(NetworkNodeId node) const {
-    return nodes_[node].stored ? nodes_[node].memory->size() : 0;
-  }
+  /// The number of tuples node `node`'s view holds (0 for virtual nodes).
+  size_t memory_size(NetworkNodeId node) const;
 
  private:
   struct AlphaNode {
     bool stored = true;
-    std::unique_ptr<AlphaMemory> memory;  // stored nodes only
+    /// Stored nodes only: the memory the node's view reads.
+    std::shared_ptr<AlphaMemory> memory;
+    /// The view holds the entries stored at or after this sequence.
+    uint64_t min_seq = 0;
     Schema schema;
     /// The node's selection predicate compiled against its schema; null
     /// when there is no predicate, the schema is unknown, or compilation
@@ -86,27 +108,49 @@ class ATreatNetwork {
     std::shared_ptr<const CompiledPredicate> compiled_selection;
   };
 
+  /// One step of an arrival node's enumeration: bind `node`, probing on
+  /// its `field` with the value of the already-bound `other` node's
+  /// `other_field` when `probe` is set (an equijoin conjunct), scanning
+  /// otherwise.
+  struct Step {
+    size_t node = 0;
+    bool probe = false;
+    size_t field = 0;
+    size_t other = 0;
+    size_t other_field = 0;
+  };
+
   ATreatNetwork(ConditionGraph graph, Database* db)
       : graph_(std::move(graph)), db_(db) {}
-
-  /// Depth-first enumeration over the remaining nodes.
-  Status Enumerate(std::vector<std::optional<Tuple>>* bound,
-                   const std::vector<size_t>& order, size_t depth,
-                   const FiringFn& fn) const;
-
-  /// Tests every join edge / catch-all conjunct fully bound by `bound`
-  /// that involves `just_bound`.
-  Result<bool> EdgesSatisfied(const std::vector<std::optional<Tuple>>& bound,
-                              size_t just_bound) const;
-
-  Bindings MakeBindings(const std::vector<std::optional<Tuple>>& bound) const;
 
   /// Compiles selection/join/catch-all predicates once schemas are known.
   void CompilePredicates();
 
+  /// Computes every arrival node's enumeration plan.
+  void PlanEnumeration();
+
+  Result<bool> SelectionPasses(size_t node, const Tuple& tuple) const;
+
+  /// Depth-first enumeration over the remaining steps of `plan`.
+  Status Enumerate(std::vector<const Tuple*>* bound,
+                   const std::vector<Step>& plan, size_t depth,
+                   const RowFn& fn) const;
+
+  /// Tests every join edge fully bound by `bound` that involves
+  /// `just_bound`.
+  Result<bool> EdgesSatisfied(const std::vector<const Tuple*>& bound,
+                              size_t just_bound) const;
+
+  Bindings MakeBindings(const std::vector<const Tuple*>& bound) const;
+
   ConditionGraph graph_;
   Database* db_;
   std::vector<AlphaNode> nodes_;
+
+  /// Per arrival node, the other nodes in binding order: BFS across join
+  /// edges keeps every step constrained; disconnected variables
+  /// (cartesian) go last.
+  std::vector<std::vector<Step>> plans_;
 
   /// Compiled join conjuncts, aligned with graph_.edges() and each edge's
   /// join_conjuncts; layout is [node a, node b]. Null entries fall back

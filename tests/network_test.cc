@@ -384,5 +384,61 @@ TEST_F(ATreatTest, DisconnectedVariableMakesCartesianProduct) {
   EXPECT_EQ(firings, 2);  // two salespersons
 }
 
+TEST(ATreatStoreTest, StoredNodesReadOneSharedStoreAsViews) {
+  // Two triggers over the same stream sources, differing in o's selection.
+  const std::vector<Schema> schemas = {
+      Schema({{"oid", DataType::kInt}, {"amount", DataType::kInt}}),
+      Schema({{"oid", DataType::kInt}})};
+  auto build = [&](const std::string& when) {
+    std::vector<TupleVarInfo> vars = {
+        {"o", "orders", 5, OpCode::kInsertOrUpdate},
+        {"s", "ships", 6, OpCode::kInsertOrUpdate},
+    };
+    auto cnf = ToCnf(Parse(when));
+    EXPECT_TRUE(cnf.ok());
+    auto graph = ConditionGraph::Build(vars, *cnf);
+    EXPECT_TRUE(graph.ok());
+    auto net = ATreatNetwork::Build(*graph, nullptr, ATreatOptions{}, schemas);
+    EXPECT_TRUE(net.ok());
+    return std::move(*net);
+  };
+  auto wide = build("o.oid = s.oid and o.amount > 10");
+  auto narrow = build("o.oid = s.oid and o.amount > 100");
+  auto orders = std::make_shared<AlphaMemory>();
+  wide->UseStore(0, orders, /*min_seq=*/1);
+  narrow->UseStore(0, orders, /*min_seq=*/3);
+  auto order = [](int64_t oid, int64_t amount) {
+    return Tuple({Value::Int(oid), Value::Int(amount)});
+  };
+  orders->Insert(order(1, 50), 1);
+  orders->Insert(order(2, 500), 2);  // before narrow was installed
+  orders->Insert(order(3, 500), 3);
+  EXPECT_EQ(orders->size(), 3u);
+  EXPECT_EQ(wide->memory_size(0), 3u);
+  EXPECT_EQ(narrow->memory_size(0), 1u);
+
+  auto firings = [](const ATreatNetwork& net, int64_t oid) {
+    int n = 0;
+    EXPECT_TRUE(net.MatchJoins(1, Tuple({Value::Int(oid)}),
+                               [&](const std::vector<Tuple>&) { ++n; })
+                    .ok());
+    return n;
+  };
+  EXPECT_EQ(firings(*wide, 1), 1);
+  EXPECT_EQ(firings(*narrow, 1), 0);  // amount 50 fails its selection
+  EXPECT_EQ(firings(*narrow, 2), 0);  // stored before its install
+  EXPECT_EQ(firings(*narrow, 3), 1);
+
+  // A node's AddTuple stores with its install sequence, so it sees the
+  // copy; removal takes the copy stored last, whoever stored it.
+  ASSERT_TRUE(narrow->AddTuple(0, order(2, 500)).ok());
+  EXPECT_EQ(firings(*narrow, 2), 1);
+  EXPECT_EQ(firings(*wide, 2), 2);
+  ASSERT_TRUE(wide->RemoveTuple(0, order(2, 500)).ok());
+  EXPECT_EQ(firings(*narrow, 2), 0);
+  EXPECT_EQ(firings(*wide, 2), 1);
+  EXPECT_EQ(orders->size(), 3u);
+}
+
 }  // namespace
 }  // namespace tman

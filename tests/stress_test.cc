@@ -6,6 +6,7 @@
 #include <atomic>
 #include <map>
 #include <mutex>
+#include <set>
 #include <thread>
 
 #include "core/trigger_manager.h"
@@ -409,36 +410,64 @@ TEST(StressTest, BPTreeSurvivesPoolFlushAndReopen) {
   }
 }
 
-TEST(StressTest, AlphaMemoryConcurrentMutation) {
-  AlphaMemory mem;
-  std::atomic<int> errors{0};
+// Four threads share one store, as the join triggers of a stream source
+// do: each inserts, removes, prunes and probes its own tuples (second
+// field = thread) under sequence tags while the others mutate the same
+// memory and indexes. Every probe of a thread's view must see exactly
+// its own model, since nobody else touches those tuples.
+TEST(StressTest, SharedStoreConcurrentViews) {
+  AlphaMemory store;
+  std::atomic<int> mismatches{0};
   std::vector<std::thread> threads;
   for (int t = 0; t < 4; ++t) {
     threads.emplace_back([&, t] {
-      Random rng(static_cast<uint64_t>(t) + 5);
-      for (int i = 0; i < 2000; ++i) {
-        Tuple tuple({Value::Int(rng.UniformRange(0, 50)), Value::Int(t)});
-        if (rng.Bernoulli(0.6)) {
-          mem.Insert(tuple);
-        } else {
-          mem.Remove(tuple);
+      Random rng(static_cast<uint64_t>(t) + 11);
+      // key -> the sequence numbers of this thread's live copies.
+      std::map<int64_t, std::multiset<uint64_t>> model;
+      for (uint64_t seq = 1; seq <= 3000; ++seq) {
+        const int64_t key = rng.UniformRange(0, 20);
+        const Tuple tuple({Value::Int(key), Value::Int(t)});
+        const uint64_t pick = static_cast<uint64_t>(rng.UniformRange(0, 20));
+        if (pick < 11) {
+          store.Insert(tuple, seq);
+          model[key].insert(seq);
+        } else if (pick < 18) {
+          // Removal takes the copy stored last.
+          const bool removed = store.Remove(tuple);
+          auto& copies = model[key];
+          if (removed != !copies.empty()) ++mismatches;
+          if (!copies.empty()) copies.erase(std::prev(copies.end()));
+        } else if (pick < 19) {
+          store.RemoveIf([&](const Tuple& x, uint64_t) {
+            return x.at(0).as_int() == key && x.at(1).as_int() == t;
+          });
+          model[key].clear();
         }
-        if (i % 16 == 0) {
-          mem.ProbeEqual(0, Value::Int(rng.UniformRange(0, 50)),
-                         [](const Tuple&) { return true; });
-        }
+        const uint64_t min_seq = seq / 2;
+        size_t seen = 0;
+        store.ProbeEqual(
+            0, Value::Int(key),
+            [&](const Tuple& x) {
+              if (x.at(0).as_int() != key) ++mismatches;
+              if (x.at(1).as_int() == t) ++seen;
+              return true;
+            },
+            min_seq);
+        const auto& copies = model[key];
+        const size_t expected = static_cast<size_t>(
+            std::distance(copies.lower_bound(min_seq), copies.end()));
+        if (seen != expected) ++mismatches;
       }
     });
   }
   for (auto& th : threads) th.join();
-  // Consistency: ForEach count equals size().
+  EXPECT_EQ(mismatches.load(), 0);
   size_t counted = 0;
-  mem.ForEach([&counted](const Tuple&) {
+  store.ForEach([&counted](const Tuple&) {
     ++counted;
     return true;
   });
-  EXPECT_EQ(counted, mem.size());
-  EXPECT_EQ(errors.load(), 0);
+  EXPECT_EQ(counted, store.size());
 }
 
 }  // namespace

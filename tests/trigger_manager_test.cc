@@ -1,7 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <map>
+#include <random>
+
 #include "core/trigger_manager.h"
 #include "db/sql.h"
+#include "expr/eval.h"
 
 namespace tman {
 namespace {
@@ -451,10 +457,9 @@ TEST_F(TriggerManagerTest, SingleVariableCatchAllGatesFiring) {
 }
 
 TEST_F(TriggerManagerTest, MaintenancePassPinsOnlyStatefulTriggers) {
-  // ticks feeds a join (stateful) and a selection trigger (stateless).
-  // A tick pins the join trigger twice, to maintain its memory and to
-  // fire, and the selection trigger only to fire: the maintenance pass
-  // drops the selection trigger's match before pinning it.
+  // ticks feeds a join and a selection trigger. The maintenance pass
+  // pins neither: the join's match only decides whether a tick enters
+  // the shared store. Each is pinned once per firing match.
   for (uint32_t batch_size : {1u, 64u}) {
     SCOPED_TRACE("batch_size=" + std::to_string(batch_size));
     TriggerManagerOptions options;
@@ -468,18 +473,37 @@ TEST_F(TriggerManagerTest, MaintenancePassPinsOnlyStatefulTriggers) {
          "do raise event Pair(t.k)");
     Exec("create trigger big from ticks when ticks.v > 5 "
          "do raise event Big(ticks.v)");
-    std::vector<UpdateDescriptor> batch;
-    for (int i = 0; i < 10; ++i) {
-      batch.push_back(UpdateDescriptor::Insert(
-          *ticks, Tuple({Value::Int(i), Value::Int(i)})));
-    }
-    const TriggerCacheStats before = tman_->stats().cache;
-    ASSERT_TRUE(tman_->SubmitUpdateBatch(batch).ok());
+    auto tick_batch = [&] {
+      std::vector<UpdateDescriptor> batch;
+      for (int i = 0; i < 10; ++i) {
+        batch.push_back(UpdateDescriptor::Insert(
+            *ticks, Tuple({Value::Int(i), Value::Int(i)})));
+      }
+      return batch;
+    };
+    auto pins = [&] {
+      const TriggerCacheStats s = tman_->stats().cache;
+      return s.hits + s.misses;
+    };
+    uint64_t before = pins();
+    ASSERT_TRUE(tman_->SubmitUpdateBatch(tick_batch()).ok());
     ASSERT_TRUE(tman_->ProcessPending().ok());
-    const TriggerCacheStats after = tman_->stats().cache;
-    // 10 ticks x 2 join pins + 4 ticks with v > 5 x 1 selection pin.
-    EXPECT_EQ(after.hits + after.misses - before.hits - before.misses, 24u);
+    // 10 ticks x 1 join fire pin + 4 ticks with v > 5 x 1 selection pin.
+    EXPECT_EQ(pins() - before, 14u);
     EXPECT_EQ(tman_->events().num_raised(), 4u);
+    EXPECT_EQ(tman_->stats().stream_memory_tuples, 10u);
+
+    // A group-by trigger on ticks is still pinned by the maintenance pass,
+    // once per tick, to apply its delta (every tick opens a group, so
+    // each fires once); its fire-pass match pins it once more and is
+    // skipped.
+    Exec("create trigger groups from ticks group by ticks.k "
+         "having count(ticks.k) > 0 do raise event Group(ticks.k)");
+    before = pins();
+    ASSERT_TRUE(tman_->SubmitUpdateBatch(tick_batch()).ok());
+    ASSERT_TRUE(tman_->ProcessPending().ok());
+    EXPECT_EQ(pins() - before, 14u + 10u + 10u);
+    EXPECT_EQ(tman_->events().num_raised(), 4u + 4u + 10u);
   }
 }
 
@@ -640,6 +664,290 @@ TEST_F(TriggerManagerTest, PinTriggerExposesRuntime) {
   EXPECT_EQ((*handle)->graph.nodes().size(), 1u);
   EXPECT_FALSE((*handle)->multi_variable());
   EXPECT_FALSE(tman_->PinTrigger("none").ok());
+}
+
+// ---------------------------------------------------------------------------
+// Shared stream stores: one stored copy per (source, partition) must fire
+// exactly what per-trigger memories fire
+// ---------------------------------------------------------------------------
+
+using EventCounts = std::map<std::string, int>;
+
+/// A join trigger's reference: a standalone network with private
+/// memories, fed through AddTuple/RemoveTuple from the trigger's install
+/// on, with selections tested by the interpreter.
+struct ReferenceTrigger {
+  std::string name;
+  std::unique_ptr<ATreatNetwork> net;
+
+  bool Selects(size_t node, const Tuple& tuple) const {
+    const ConditionGraph::Node& gnode = net->graph().nodes()[node];
+    ExprPtr selection = gnode.SelectionPredicate();
+    if (selection == nullptr) return true;
+    Bindings b;
+    b.Bind(gnode.info.var, &net->node_schema(node), &tuple);
+    auto pass = EvalPredicate(selection, b);
+    EXPECT_TRUE(pass.ok());
+    return pass.ok() && *pass;
+  }
+
+  /// Maintenance, then firing, as the engine runs a token. Every sweep
+  /// trigger raises `name(<every field of every variable>)`.
+  void Apply(const UpdateDescriptor& token, EventCounts* events) const {
+    const auto& nodes = net->graph().nodes();
+    for (size_t i = 0; i < nodes.size(); ++i) {
+      if (nodes[i].info.source_id != token.data_source) continue;
+      const NetworkNodeId node = static_cast<NetworkNodeId>(i);
+      if (token.op != OpCode::kInsert && Selects(i, *token.old_tuple)) {
+        EXPECT_TRUE(net->RemoveTuple(node, *token.old_tuple).ok());
+      }
+      if (token.op != OpCode::kDelete && Selects(i, *token.new_tuple)) {
+        EXPECT_TRUE(net->AddTuple(node, *token.new_tuple).ok());
+      }
+    }
+    if (token.op == OpCode::kDelete) return;
+    for (size_t i = 0; i < nodes.size(); ++i) {
+      if (nodes[i].info.source_id != token.data_source ||
+          !Selects(i, *token.new_tuple)) {
+        continue;
+      }
+      EXPECT_TRUE(net->MatchJoins(static_cast<NetworkNodeId>(i),
+                                  *token.new_tuple,
+                                  [&](const std::vector<Tuple>& row) {
+                                    Event e{name, {}};
+                                    for (const Tuple& t : row) {
+                                      for (const Value& v : t.values()) {
+                                        e.args.push_back(v);
+                                      }
+                                    }
+                                    ++(*events)[e.ToString()];
+                                  })
+                      .ok());
+    }
+  }
+};
+
+struct StoreSweepResult {
+  EventCounts engine;
+  EventCounts reference;
+  TriggerCacheStats cache;
+};
+
+/// A seeded sweep of inserts, deletes and updates over two stream
+/// sources, with duplicate tuples, a self-join, a non-equijoin and join
+/// triggers created and dropped between groups.
+StoreSweepResult RunStoreSweep(TriggerManagerOptions options) {
+  StoreSweepResult out;
+  Database db;
+  TriggerManager tman(&db, options);
+  EXPECT_TRUE(tman.Open().ok());
+  auto r = tman.DefineStreamSource(
+      "r", Schema({{"a", DataType::kInt}, {"b", DataType::kInt}}));
+  auto s = tman.DefineStreamSource(
+      "s", Schema({{"a", DataType::kInt}, {"c", DataType::kInt}}));
+  EXPECT_TRUE(r.ok() && s.ok());
+  if (!r.ok() || !s.ok()) return out;
+  tman.events().Register("*",
+                         [&](const Event& e) { ++out.engine[e.ToString()]; });
+
+  const std::map<std::string, std::string> definitions = {
+      {"jb", "from r x, s y when x.a = y.a and x.b > 3 "
+             "do raise event jb(x.a, x.b, y.a, y.c)"},
+      {"jc", "from r x, s y when x.a = y.a and y.c < 4 "
+             "do raise event jc(x.a, x.b, y.a, y.c)"},
+      {"jbc", "from r x, s y when x.b = y.c "
+              "do raise event jbc(x.a, x.b, y.a, y.c)"},
+      {"self", "from r x, r z when x.a = z.a and x.b < z.b and z.b > 1 "
+               "do raise event self(x.a, x.b, z.a, z.b)"},
+      {"cross", "from r x, s y when x.b > 5 and y.c > 5 and x.a <> y.a "
+                "do raise event cross(x.a, x.b, y.a, y.c)"}};
+  std::map<std::string, ReferenceTrigger> installed;
+  auto create = [&](const std::string& name) {
+    auto created = tman.ExecuteCommand("create trigger " + name + " " +
+                                       definitions.at(name));
+    ASSERT_TRUE(created.ok()) << created.status().ToString();
+    auto pinned = tman.PinTrigger(name);
+    ASSERT_TRUE(pinned.ok());
+    const ATreatNetwork& engine_net = *(*pinned)->network;
+    std::vector<Schema> schemas;
+    for (size_t i = 0; i < engine_net.num_nodes(); ++i) {
+      schemas.push_back(engine_net.node_schema(static_cast<NetworkNodeId>(i)));
+    }
+    auto net = ATreatNetwork::Build(engine_net.graph(), nullptr,
+                                    ATreatOptions{}, schemas);
+    ASSERT_TRUE(net.ok());
+    installed[name] = ReferenceTrigger{name, std::move(*net)};
+  };
+  auto drop = [&](const std::string& name) {
+    ASSERT_TRUE(tman.DropTrigger(name).ok());
+    installed.erase(name);
+  };
+  // Group index -> DDL run once every earlier group is processed.
+  const std::map<int, std::function<void()>> ddl = {
+      {0, [&] { create("jb"); create("jc"); create("self"); }},
+      {5, [&] { create("jbc"); create("cross"); }},
+      {9, [&] { drop("jb"); }},
+      {13, [&] { create("jb"); drop("self"); }},
+      {16, [&] { drop("jc"); create("self"); }}};
+
+  std::mt19937 rng(7);
+  auto draw = [&](int64_t n) { return static_cast<int64_t>(rng() % n); };
+  std::vector<Tuple> live[2];
+  const DataSourceId source[2] = {*r, *s};
+  for (int group = 0; group < 20; ++group) {
+    if (auto it = ddl.find(group); it != ddl.end()) it->second();
+    std::vector<UpdateDescriptor> tokens;
+    for (int i = 0; i < 40; ++i) {
+      const int side = static_cast<int>(rng() % 2);
+      std::vector<Tuple>& pool = live[side];
+      Tuple fresh({Value::Int(draw(4)), Value::Int(draw(8))});
+      const int64_t pick = draw(20);
+      if (pick < 9 || pool.empty()) {
+        pool.push_back(fresh);
+        tokens.push_back(UpdateDescriptor::Insert(source[side], fresh));
+      } else if (pick < 14) {
+        const size_t victim = static_cast<size_t>(draw(
+            static_cast<int64_t>(pool.size())));
+        tokens.push_back(UpdateDescriptor::Update(source[side], pool[victim],
+                                                  fresh));
+        pool[victim] = fresh;
+      } else if (pick < 19) {
+        const size_t victim = static_cast<size_t>(draw(
+            static_cast<int64_t>(pool.size())));
+        tokens.push_back(UpdateDescriptor::Delete(source[side], pool[victim]));
+        pool.erase(pool.begin() + static_cast<ptrdiff_t>(victim));
+      } else {
+        // A delete of a tuple that may not be live.
+        tokens.push_back(UpdateDescriptor::Delete(source[side], fresh));
+        auto it = std::find(pool.begin(), pool.end(), fresh);
+        if (it != pool.end()) pool.erase(it);
+      }
+    }
+    EXPECT_TRUE(tman.SubmitUpdateBatch(tokens).ok());
+    EXPECT_TRUE(tman.ProcessPending().ok());
+    for (const UpdateDescriptor& token : tokens) {
+      for (const auto& [name, ref] : installed) {
+        ref.Apply(token, &out.reference);
+      }
+    }
+  }
+  out.cache = tman.stats().cache;
+  return out;
+}
+
+/// How many events each trigger raised.
+std::map<std::string, int> PerTrigger(const EventCounts& events) {
+  std::map<std::string, int> out;
+  for (const auto& [event, n] : events) {
+    out[event.substr(0, event.find('('))] += n;
+  }
+  return out;
+}
+
+TEST(SharedStoreTest, FiringsMatchPerTriggerMemories) {
+  for (uint32_t batch_size : {1u, 64u}) {
+    for (uint32_t partitions : {1u, 2u}) {
+      SCOPED_TRACE("batch_size=" + std::to_string(batch_size) +
+                   " partitions=" + std::to_string(partitions));
+      TriggerManagerOptions options;
+      options.batch_size = batch_size;
+      options.condition_partitions = partitions;
+      StoreSweepResult result = RunStoreSweep(options);
+      const auto counts = PerTrigger(result.reference);
+      for (const char* name : {"jb", "jc", "jbc", "self", "cross"}) {
+        EXPECT_GT(counts.count(name) ? counts.at(name) : 0, 20) << name;
+      }
+      EXPECT_EQ(result.engine, result.reference);
+    }
+  }
+}
+
+TEST(SharedStoreTest, EvictedJoinTriggersKeepTheirMemories) {
+  TriggerManagerOptions options;
+  const StoreSweepResult resident = RunStoreSweep(options);
+  EXPECT_EQ(resident.cache.evictions, 0u);
+  options.trigger_cache_capacity = 2;
+  const StoreSweepResult evicted = RunStoreSweep(options);
+  EXPECT_GT(evicted.cache.evictions, 100u);
+  EXPECT_EQ(evicted.engine, resident.engine);
+  EXPECT_EQ(evicted.engine, evicted.reference);
+}
+
+TEST(SharedStoreTest, DroppingJoinTriggersShrinksTheStore) {
+  for (uint32_t partitions : {1u, 2u}) {
+    SCOPED_TRACE("partitions=" + std::to_string(partitions));
+    Database db;
+    TriggerManagerOptions options;
+    options.condition_partitions = partitions;
+    TriggerManager tman(&db, options);
+    ASSERT_TRUE(tman.Open().ok());
+    Schema schema({{"a", DataType::kInt}, {"b", DataType::kInt}});
+    auto r = tman.DefineStreamSource("r", schema);
+    auto s = tman.DefineStreamSource("s", schema);
+    ASSERT_TRUE(r.ok() && s.ok());
+    for (const char* cmd :
+         {"create trigger lo from r x, s y when x.a = y.a and x.b < 4 "
+          "do raise event lo(x.b)",
+          "create trigger hi from r x, s y when x.a = y.a and x.b >= 4 "
+          "do raise event hi(x.b)",
+          "create trigger plain from r when r.b > 100 do raise event p()"}) {
+      ASSERT_TRUE(tman.ExecuteCommand(cmd).ok()) << cmd;
+    }
+    std::vector<UpdateDescriptor> tokens;
+    for (int64_t b = 0; b < 8; ++b) {
+      tokens.push_back(
+          UpdateDescriptor::Insert(*r, Tuple({Value::Int(1), Value::Int(b)})));
+    }
+    for (int64_t a = 0; a < 4; ++a) {
+      tokens.push_back(
+          UpdateDescriptor::Insert(*s, Tuple({Value::Int(a), Value::Int(0)})));
+    }
+    ASSERT_TRUE(tman.SubmitUpdateBatch(tokens).ok());
+    ASSERT_TRUE(tman.ProcessPending().ok());
+    // Every r tuple and every s tuple once — per partition, if lo and hi
+    // match in different ones (each then stores its r half and every s
+    // tuple).
+    auto lo = tman.PinTrigger("lo");
+    auto hi = tman.PinTrigger("hi");
+    ASSERT_TRUE(lo.ok() && hi.ok());
+    const bool split = (*lo)->id % partitions != (*hi)->id % partitions;
+    EXPECT_EQ(tman.stats().stream_memory_tuples, split ? 16u : 12u);
+    lo = TriggerHandle();
+    hi = TriggerHandle();
+    ASSERT_TRUE(tman.DropTrigger("lo").ok());
+    // hi's view: the four r tuples with b >= 4, every s tuple.
+    EXPECT_EQ(tman.stats().stream_memory_tuples, 8u);
+    ASSERT_TRUE(tman.DropTrigger("hi").ok());
+    EXPECT_EQ(tman.stats().stream_memory_tuples, 0u);
+    auto text = tman.ExecuteCommand("stats");
+    ASSERT_TRUE(text.ok());
+    EXPECT_NE(text->find("stream_memory_tuples=0"), std::string::npos);
+
+    // A trigger installed later never saw the earlier entries, so they
+    // go with the last trigger that did.
+    auto join = [&](const std::string& name) {
+      ASSERT_TRUE(tman.ExecuteCommand("create trigger " + name +
+                                      " from r x, s y when x.a = y.a "
+                                      "do raise event " + name + "(x.b)")
+                      .ok());
+    };
+    auto insert = [&](DataSourceId source, int64_t a, int64_t b) {
+      ASSERT_TRUE(tman.SubmitUpdate(UpdateDescriptor::Insert(
+                                        source, Tuple({Value::Int(a),
+                                                       Value::Int(b)})))
+                      .ok());
+      ASSERT_TRUE(tman.ProcessPending().ok());
+    };
+    join("early");
+    insert(*r, 1, 1);
+    insert(*s, 1, 0);
+    join("late");
+    insert(*r, 2, 2);
+    ASSERT_TRUE(tman.DropTrigger("early").ok());
+    EXPECT_EQ(tman.stats().stream_memory_tuples, 1u);
+    ASSERT_TRUE(tman.DropTrigger("late").ok());
+    EXPECT_EQ(tman.stats().stream_memory_tuples, 0u);
+  }
 }
 
 }  // namespace
