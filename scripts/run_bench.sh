@@ -75,14 +75,14 @@ echo "Wrote BENCH_adapt.json"
 
 if [ "$MODE" = "--all" ]; then
   cmake --build build -j >/dev/null
-  for b in build/bench/bench_*; do
-    [ -f "$b" ] && [ -x "$b" ] || continue
-    name="$(basename "$b")"
+  # Only the benchmarks bench/CMakeLists.txt defines, not stale binaries.
+  for name in $(sed -n 's/^tman_bench(\(bench_[a-z0-9_]*\))$/\1/p' \
+                  bench/CMakeLists.txt); do
     [ "$name" = "bench_scaling" ] && continue
     [ "$name" = "bench_eval" ] && continue
     [ "$name" = "bench_cluster" ] && continue
     [ "$name" = "bench_adapt" ] && continue
     echo "===== $name ====="
-    "$b"
+    "build/bench/$name"
   done
 fi

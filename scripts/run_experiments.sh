@@ -5,16 +5,19 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-cmake -B build -G Ninja
-cmake --build build
+# Same configure line as the tier-1 build, so both share build/.
+cmake -B build -S .
+cmake --build build -j "$(nproc)"
 
 ctest --test-dir build 2>&1 | tee test_output.txt
 
+# Only the benchmarks bench/CMakeLists.txt defines: a binary left in a
+# reused build/ by a deleted target must not run.
 {
-  for b in build/bench/bench_*; do
-    [ -f "$b" ] && [ -x "$b" ] || continue
-    echo "===== $(basename "$b") ====="
-    "$b"
+  for name in $(sed -n 's/^tman_bench(\(bench_[a-z0-9_]*\))$/\1/p' \
+                  bench/CMakeLists.txt); do
+    echo "===== $name ====="
+    "build/bench/$name"
   done
 } 2>&1 | tee bench_output.txt
 

@@ -27,10 +27,6 @@ constexpr char kDefaultSetName[] = "default";
 //   u32 batch_count, per batch: u64 batch_id, len-prefixed session,
 //     u32 token_count, per token: u32 index, u64 seq,
 //     len-prefixed descriptor
-// WAL kCheckpoint payload (legacy; still replayed, never written):
-//   u32 session_count, per session: len-prefixed name, u64 seq
-//   u32 batch_count, per batch: u64 batch_id, len-prefixed session,
-//     u32 token_count, per token: u32 index, len-prefixed descriptor
 
 Status WalDecodeError() {
   return Status::Corruption("wal: malformed record payload");
@@ -363,7 +359,7 @@ Result<std::shared_ptr<TriggerRuntime>> TriggerManager::BuildRuntime(
   }
   TMAN_ASSIGN_OR_RETURN(
       runtime->network,
-      ATreatNetwork::Build(runtime->graph, db_, ATreatOptions{}, schemas));
+      ATreatNetwork::Build(runtime->graph, db_, schemas));
   CompileActionArgs(runtime.get());
   return runtime;
 }
@@ -756,16 +752,9 @@ void TriggerManager::AppendTokenBatchTasks(
 Status TriggerManager::RunTokenGroup(const TokenGroup& group,
                                      uint32_t partition,
                                      uint32_t num_partitions) {
-  auto run = [&](const std::vector<UpdateDescriptor>& tokens,
-                 std::vector<Status>* per_lane) -> Status {
-    if (tokens.size() != 1) {
-      return ProcessTokenBatch(tokens, partition, num_partitions, per_lane);
-    }
-    Status s = ProcessToken(tokens[0], partition, num_partitions);
-    if (per_lane != nullptr) per_lane->assign(1, s);
-    return s;
-  };
-  if (group.wal.empty()) return run(group.tokens, nullptr);
+  if (group.wal.empty()) {
+    return ProcessTokenBatch(group.tokens, partition, num_partitions);
+  }
 
   // A token fenced by a cluster rejoin (FenceWalSessions) was already
   // re-routed to another node; complete its bookkeeping without
@@ -783,7 +772,9 @@ Status TriggerManager::RunTokenGroup(const TokenGroup& group,
   }
   std::vector<Status> lane_status;
   Status first = Status::OK();
-  if (!lanes.empty()) first = run(*tokens, &lane_status);
+  if (!lanes.empty()) {
+    first = ProcessTokenBatch(*tokens, partition, num_partitions, &lane_status);
+  }
   // Only completed lanes report back: a failed one leaves its token
   // pending so the next recovery replays it (at-least-once).
   for (size_t k = 0; k < lanes.size(); ++k) {
@@ -1063,51 +1054,6 @@ Status TriggerManager::RecoverFromWal() {
       }
       case WalRecordType::kMeta: {
         meta.assign(payload);
-        return Status::OK();
-      }
-      case WalRecordType::kCheckpoint: {
-        // Legacy layout: no meta blob, no per-token sequence. A log
-        // written by the previous release can only end in records of
-        // this shape; leave `meta` untouched (those logs carry none) and
-        // default each token's seq to 0 (unstamped: replayed
-        // at-least-once, the contract that release gave anyway).
-        sessions.clear();
-        pending.clear();
-        ++info.checkpoints_seen;
-        uint32_t session_count = 0;
-        if (!GetU32(payload, &pos, &session_count)) return WalDecodeError();
-        for (uint32_t i = 0; i < session_count; ++i) {
-          std::string_view name;
-          uint64_t seq = 0;
-          if (!GetLengthPrefixed(payload, &pos, &name) ||
-              !GetU64(payload, &pos, &seq)) {
-            return WalDecodeError();
-          }
-          sessions[std::string(name)] = seq;
-        }
-        uint32_t batch_count = 0;
-        if (!GetU32(payload, &pos, &batch_count)) return WalDecodeError();
-        for (uint32_t b = 0; b < batch_count; ++b) {
-          uint64_t batch_id = 0;
-          std::string_view session;
-          uint32_t token_count = 0;
-          if (!GetU64(payload, &pos, &batch_id) ||
-              !GetLengthPrefixed(payload, &pos, &session) ||
-              !GetU32(payload, &pos, &token_count)) {
-            return WalDecodeError();
-          }
-          ReplayBatch& batch = pending[batch_id];
-          batch.session = std::string(session);
-          for (uint32_t t = 0; t < token_count; ++t) {
-            uint32_t index = 0;
-            std::string_view bytes;
-            if (!GetU32(payload, &pos, &index) ||
-                !GetLengthPrefixed(payload, &pos, &bytes)) {
-              return WalDecodeError();
-            }
-            batch.tokens.emplace(index, ReplayToken{0, std::string(bytes)});
-          }
-        }
         return Status::OK();
       }
       case WalRecordType::kCheckpointV2: {
@@ -1420,29 +1366,6 @@ Status TriggerManager::MaintainToken(const UpdateDescriptor& token,
   return Status::OK();
 }
 
-Status TriggerManager::ProcessToken(const UpdateDescriptor& token,
-                                    uint32_t partition,
-                                    uint32_t num_partitions) {
-  if (partition == 0) {
-    tokens_processed_.fetch_add(1, std::memory_order_relaxed);
-  }
-  {
-    StageTimer maintain_timer(&stage_metrics_, Stage::kMaintain, 1);
-    MaintenanceState state;
-    uint64_t seq = 0;
-    {
-      std::shared_lock lock(meta_mutex_);
-      state = MaintenanceLocked(token.data_source);
-      seq = maintenance_seq_;
-    }
-    if (state != nullptr) {
-      TMAN_RETURN_IF_ERROR(
-          MaintainToken(token, *state, seq, partition, num_partitions));
-    }
-  }
-  return FireToken(token, partition, num_partitions);
-}
-
 Status TriggerManager::FireToken(const UpdateDescriptor& token,
                                  uint32_t partition,
                                  uint32_t num_partitions) {
@@ -1492,8 +1415,8 @@ Status TriggerManager::ProcessTokenBatch(
 
   // Fire passes over runs [begin, end): only a run's first token has
   // maintenance work, and it maintains before the run fires. A token
-  // whose maintenance fails is left out of the fire pass (the scalar
-  // pipeline would have returned before matching it).
+  // whose maintenance fails is left out of the fire pass (alone, it would
+  // have returned before matching).
   std::vector<Status> lane_status(tokens.size());
   std::vector<UpdateDescriptor> subset;
   std::vector<size_t> lane_map;  // subset lane -> index in `tokens`

@@ -53,8 +53,7 @@ struct TriggerManagerOptions {
   /// chunked into groups of up to this many tokens, each group processed
   /// as ONE task through the batched predicate-index probe and the
   /// batched bytecode VM. <= 1 disables batching (every token gets its
-  /// own task and runs the scalar pipeline — the differential-testing
-  /// oracle).
+  /// own task and is a group of one — the differential-testing oracle).
   uint32_t batch_size = kDefaultTokenBatchSize;
 
   /// Rule-action concurrency: run fired actions as separate tasks
@@ -361,19 +360,16 @@ class TriggerManager {
       const CreateTriggerCmd& cmd, TriggerId trigger_id, uint64_t ts_id);
 
   /// Token pipeline (§5.4): memory maintenance + fire matching + joins +
-  /// action execution for one partition of the predicate index.
-  Status ProcessToken(const UpdateDescriptor& token, uint32_t partition,
-                      uint32_t num_partitions);
-
-  /// Batched token pipeline with per-lane error isolation (a failing
-  /// token never stops its batch-mates). Tokens without maintenance work
-  /// share one PredicateIndex::MatchBatch fire pass — grouped probe
-  /// hashing and batched rest-of-predicate eval. A token with maintenance
-  /// work starts a new pass after it maintains, because its memory and
-  /// group updates must not be visible to the firings of the tokens
-  /// ahead of it: every token fires exactly as in the scalar pipeline.
-  /// Returns the first per-token error; `per_lane` (optional) receives
-  /// every lane's Status.
+  /// action execution for one partition of the predicate index, with
+  /// per-lane error isolation (a failing token never stops its
+  /// batch-mates). Tokens without maintenance work share one
+  /// PredicateIndex::MatchBatch fire pass — grouped probe hashing and
+  /// batched rest-of-predicate eval. A token with maintenance work starts
+  /// a new pass after it maintains, because its memory and group updates
+  /// must not be visible to the firings of the tokens ahead of it: every
+  /// token fires exactly as it would in a group of its own (MaintainToken
+  /// then FireToken). Returns the first per-token error; `per_lane`
+  /// (optional) receives every lane's Status.
   Status ProcessTokenBatch(const std::vector<UpdateDescriptor>& tokens,
                            uint32_t partition, uint32_t num_partitions,
                            std::vector<Status>* per_lane = nullptr);
@@ -382,11 +378,10 @@ class TriggerManager {
   /// fed by it. Callers hold meta_mutex_.
   MaintenanceState MaintenanceLocked(DataSourceId source) const;
 
-  /// The maintenance pass of one token, shared by the scalar and batched
-  /// pipelines: one removal from the partition's store for an old tuple,
-  /// one insertion (tagged `seq`) for a new tuple that a join node of the
-  /// partition selects, and the group-state delta of every matching
-  /// aggregate trigger.
+  /// The maintenance pass of one token: one removal from the partition's
+  /// store for an old tuple, one insertion (tagged `seq`) for a new tuple
+  /// that a join node of the partition selects, and the group-state delta
+  /// of every matching aggregate trigger.
   Status MaintainToken(const UpdateDescriptor& token,
                        const SourceMaintenance& state, uint64_t seq,
                        uint32_t partition, uint32_t num_partitions);
@@ -470,12 +465,12 @@ class TriggerManager {
                              const std::vector<WalTokenRef>& wal,
                              std::vector<Task>* out);
 
-  /// Runs one group for one condition partition. A one-token group runs
-  /// the scalar ProcessToken (batch_size <= 1 makes every group one
-  /// token: the differential oracle), larger groups ProcessTokenBatch. A
-  /// WAL group skips fenced tokens, then reports the fenced ones and the
-  /// lanes that succeeded to MarkWalProcessed; a failed lane leaves its
-  /// token pending, so the next recovery replays it.
+  /// Runs one group for one condition partition through
+  /// ProcessTokenBatch (batch_size <= 1 makes every group one token: the
+  /// differential oracle). A WAL group skips fenced tokens, then reports
+  /// the fenced ones and the lanes that succeeded to MarkWalProcessed; a
+  /// failed lane leaves its token pending, so the next recovery replays
+  /// it.
   Status RunTokenGroup(const TokenGroup& group, uint32_t partition,
                        uint32_t num_partitions);
 

@@ -7,7 +7,7 @@
 namespace tman {
 
 Result<std::unique_ptr<ATreatNetwork>> ATreatNetwork::Build(
-    const ConditionGraph& graph, Database* db, const ATreatOptions& options,
+    const ConditionGraph& graph, Database* db,
     const std::vector<Schema>& schemas) {
   if (!schemas.empty() && schemas.size() != graph.nodes().size()) {
     return Status::InvalidArgument(
@@ -27,17 +27,10 @@ Result<std::unique_ptr<ATreatNetwork>> ATreatNetwork::Build(
       TMAN_ASSIGN_OR_RETURN(anode.schema, db->SchemaOf(gnode.info.source_name));
     }
     // Single-variable triggers need no memories at all: the predicate
-    // index decides everything and the token itself is the firing.
-    if (!multi) {
-      anode.stored = false;
-      continue;
-    }
-    if (options.prefer_virtual && local_table) {
-      anode.stored = false;  // virtual alpha node (A-TREAT)
-    } else {
-      anode.stored = true;
-      anode.memory = std::make_shared<AlphaMemory>();
-    }
+    // index decides everything and the token itself is the firing. A
+    // local table backs a virtual alpha node (A-TREAT).
+    anode.stored = multi && !local_table;
+    if (anode.stored) anode.memory = std::make_shared<AlphaMemory>();
   }
   net->CompilePredicates();
   net->PlanEnumeration();
@@ -175,28 +168,6 @@ Result<bool> ATreatNetwork::SelectionPasses(size_t node,
   Bindings b;
   b.Bind(gnode.info.var, &anode.schema, &tuple);
   return EvalPredicate(gnode.SelectionPredicate(), b);
-}
-
-Status ATreatNetwork::Prime() {
-  if (db_ == nullptr) return Status::OK();
-  for (size_t i = 0; i < nodes_.size(); ++i) {
-    AlphaNode& anode = nodes_[i];
-    const ConditionGraph::Node& gnode = graph_.nodes()[i];
-    if (!anode.stored || !db_->HasTable(gnode.info.source_name)) continue;
-    Status inner = Status::OK();
-    TMAN_RETURN_IF_ERROR(db_->Scan(
-        gnode.info.source_name, [&](const Rid&, const Tuple& t) {
-          Result<bool> pass = SelectionPasses(i, t);
-          if (!pass.ok()) {
-            inner = pass.status();
-            return false;
-          }
-          if (*pass) anode.memory->Insert(t, anode.min_seq);
-          return true;
-        }));
-    TMAN_RETURN_IF_ERROR(inner);
-  }
-  return Status::OK();
 }
 
 Status ATreatNetwork::AddTuple(NetworkNodeId node, const Tuple& tuple) const {

@@ -14,18 +14,13 @@
 
 namespace tman {
 
-/// Options for building a trigger's A-TREAT network.
-struct ATreatOptions {
-  /// Use virtual alpha nodes (query the base table on demand instead of
-  /// materializing the selection) for tuple variables whose data source
-  /// is a local MiniDB table — the memory-saving device that
-  /// distinguishes A-TREAT from TREAT. Stream sources are always stored.
-  bool prefer_virtual = true;
-};
-
 /// The A-TREAT discrimination network of one trigger: one alpha node per
-/// tuple variable (stored memory or virtual), join condition testing, and
-/// a P-node that emits complete variable bindings (rule firings).
+/// tuple variable, join condition testing, and a P-node that emits
+/// complete variable bindings (rule firings). A variable over a local
+/// MiniDB table gets a virtual alpha node, which queries the base table on
+/// demand instead of materializing the selection (the memory-saving device
+/// that distinguishes A-TREAT from TREAT); a variable over a stream source
+/// gets a stored node.
 /// Selection predicates are NOT tested on arrival — the shared predicate
 /// index performs that selection testing and passes matched tokens to a
 /// network node (the nextNetworkNode of §5.1).
@@ -49,7 +44,7 @@ class ATreatNetwork {
   /// schema; when empty, schemas are read from the database tables named
   /// by the graph (stream sources then require explicit schemas).
   static Result<std::unique_ptr<ATreatNetwork>> Build(
-      const ConditionGraph& graph, Database* db, const ATreatOptions& options,
+      const ConditionGraph& graph, Database* db,
       const std::vector<Schema>& schemas = {});
 
   /// Backs stored node `node` with `store` — a memory other triggers'
@@ -57,10 +52,6 @@ class ATreatNetwork {
   /// before the network is shared between threads.
   void UseStore(NetworkNodeId node, std::shared_ptr<AlphaMemory> store,
                 uint64_t min_seq);
-
-  /// Fills stored memories for local-table sources from current table
-  /// contents (the §5.1 "prime the trigger to make it ready to run").
-  Status Prime();
 
   /// Memory maintenance: the tuple passed its node's selection predicate
   /// and must be added to / removed from the node's memory (an add is

@@ -31,8 +31,7 @@ inline constexpr size_t kWalRecordOverhead = 9;
 enum class WalRecordType : uint8_t {
   kBatch = 1,         // a submitted update batch (tokens + session stamp)
   kProcessed = 2,     // a token of an earlier batch finished processing
-  kCheckpoint = 3,    // legacy checkpoint layout (pre-meta, no per-token
-                      // seq); decoded on replay, never written anymore
+  // 3 is reserved: a retired checkpoint layout, now rejected on replay.
   kMeta = 4,          // opaque durable metadata blob (latest wins; carried
                       // forward inside checkpoints so truncation keeps it)
   kCheckpointV2 = 5,  // snapshot of live state (meta blob + sessions +

@@ -31,8 +31,7 @@ class ActionsTest : public ::testing::Test {
     auto graph = ConditionGraph::Build(vars, {});
     ASSERT_TRUE(graph.ok());
     trigger_->graph = *graph;
-    auto net = ATreatNetwork::Build(trigger_->graph, db_.get(),
-                                    ATreatOptions{});
+    auto net = ATreatNetwork::Build(trigger_->graph, db_.get());
     ASSERT_TRUE(net.ok());
     trigger_->network = std::move(*net);
   }
@@ -252,8 +251,7 @@ class CompiledActionArgsTest : public ::testing::Test {
     auto graph = ConditionGraph::Build(vars, {});
     ASSERT_TRUE(graph.ok());
     trigger_->graph = *graph;
-    auto net = ATreatNetwork::Build(trigger_->graph, &db_, ATreatOptions{},
-                                    schemas_);
+    auto net = ATreatNetwork::Build(trigger_->graph, &db_, schemas_);
     ASSERT_TRUE(net.ok()) << net.status().ToString();
     trigger_->network = std::move(*net);
     trigger_->cmd.action.kind = ActionKind::kRaiseEvent;

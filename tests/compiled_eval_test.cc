@@ -9,7 +9,7 @@
 #include "expr/compile.h"
 #include "expr/eval.h"
 #include "expr/expr.h"
-#include "network/gator.h"
+#include "network/atreat.h"
 #include "parser/parser.h"
 #include "predindex/predicate_index.h"
 
@@ -369,10 +369,11 @@ TEST(CompiledEvalFuzzTest, DifferentialAgainstInterpreter) {
 // --- Hot-path coverage -------------------------------------------------------
 
 // End-to-end proof that the per-token paths run on compiled programs: a
-// predicate-index match with a rest predicate, Gator join + catch-all
-// propagation, an execSQL scan filter, and a group-by having clause are
-// all driven while the interpreter call counter stands still. The
-// interpreter stays reachable only through the documented fallbacks.
+// predicate-index match with a rest predicate, an A-TREAT stored-node
+// join probe with a residual conjunct, an execSQL scan filter, and a
+// group-by having clause are all driven while the interpreter call
+// counter stands still. The interpreter stays reachable only through the
+// documented fallbacks.
 TEST(CompiledHotPathTest, HotPathsDoNotTouchInterpreter) {
   // Predicate index: equality signature plus a non-indexable rest.
   Database db;
@@ -389,7 +390,7 @@ TEST(CompiledHotPathTest, HotPathsDoNotTouchInterpreter) {
   spec.next_node = 0;
   ASSERT_TRUE(pindex.AddPredicate(spec).ok());
 
-  // Gator network with an extra non-equijoin conjunct and a catch-all.
+  // Stored-node A-TREAT network with an extra non-equijoin conjunct.
   std::vector<TupleVarInfo> vars = {
       {"o", "orders", 11, OpCode::kInsertOrUpdate},
       {"s", "shipments", 12, OpCode::kInsertOrUpdate},
@@ -402,8 +403,8 @@ TEST(CompiledHotPathTest, HotPathsDoNotTouchInterpreter) {
   ASSERT_TRUE(cnf.ok());
   auto graph = ConditionGraph::Build(vars, *cnf);
   ASSERT_TRUE(graph.ok());
-  auto gator = GatorNetwork::Build(*graph, schemas);
-  ASSERT_TRUE(gator.ok());
+  auto net = ATreatNetwork::Build(*graph, nullptr, schemas);
+  ASSERT_TRUE(net.ok());
 
   // MiniDB table for the scan-filter leg (no index: forces the scan route).
   Database sqldb;
@@ -436,18 +437,16 @@ TEST(CompiledHotPathTest, HotPathsDoNotTouchInterpreter) {
     ASSERT_TRUE(pindex.Match(token, &out).ok());
   }
 
-  // 2. Gator propagation: equijoin probe + compiled residual conjunct.
+  // 2. Join arrivals: equijoin probe + compiled residual conjunct.
   int firings = 0;
-  auto count = [&firings](const std::vector<Tuple>&) { ++firings; };
+  auto count = [&firings](const Tuple* const*) { ++firings; };
   for (int i = 0; i < 5; ++i) {
-    ASSERT_TRUE((*gator)
-                    ->AddTuple(0, Tuple({Value::Int(i), Value::Int(1)}),
-                               count)
-                    .ok());
-    ASSERT_TRUE((*gator)
-                    ->AddTuple(1, Tuple({Value::Int(i), Value::Int(10)}),
-                               count)
-                    .ok());
+    const Tuple order({Value::Int(i), Value::Int(1)});
+    const Tuple ship({Value::Int(i), Value::Int(10)});
+    ASSERT_TRUE((*net)->AddTuple(0, order).ok());
+    ASSERT_TRUE((*net)->MatchJoinRows(0, order, count).ok());
+    ASSERT_TRUE((*net)->AddTuple(1, ship).ok());
+    ASSERT_TRUE((*net)->MatchJoinRows(1, ship, count).ok());
   }
   EXPECT_EQ(firings, 5);
 

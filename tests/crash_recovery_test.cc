@@ -40,7 +40,6 @@
 #include "db/database.h"
 #include "runtime/deterministic.h"
 #include "storage/wal.h"
-#include "util/codec.h"
 #include "util/fault_injector.h"
 
 namespace tman {
@@ -623,73 +622,26 @@ TEST(CrashRecoveryTest, CheckpointWriteAmplificationBoundedUnderBacklog) {
                         << "checkpointing vs " << never << " without";
 }
 
-// --- legacy (pre-V2) checkpoint records still replay -------------------
+// --- a retired record type fails replay ------------------------------
 //
-// The checkpoint payload grew a meta blob and per-token sequence stamps
-// (WalRecordType::kCheckpointV2); logs written by the previous release
-// end in old-layout kCheckpoint records. Recovery must keep decoding
-// those — a version bump that misparsed them would turn every upgrade
-// into a corrupt-log failure or, worse, silently wrong session seqs.
+// Record type 3 held a checkpoint layout no release writes any more. It
+// stays reserved: a log carrying it is not one this release wrote, and
+// recovery must refuse it rather than skip it and lose acked tokens.
 
-TEST(CrashRecoveryTest, LegacyCheckpointRecordReplaysAfterUpgrade) {
+TEST(CrashRecoveryTest, RetiredRecordTypeFailsReplay) {
   Database db;
   TriggerManagerOptions opts = DurableOptions(/*batch_size=*/64);
-  Schema feed({{"id", DataType::kInt}});
   {
     TriggerManager a(&db, opts);
     ASSERT_TRUE(a.Open().ok());
-    auto ds = a.DefineStreamSource("feed", feed);
-    ASSERT_TRUE(ds.ok());
-    ASSERT_TRUE(a.ExecuteCommand("create trigger watch from feed "
-                                 "when feed.id >= 0 "
-                                 "do raise event Seen(feed.id)")
-                    .ok());
-    // Handcraft an old-layout checkpoint exactly as the previous release
-    // wrote it: sessions (name, seq), then pending batches with bare
-    // (index, descriptor) tokens — no meta blob, no per-token seq.
-    std::string tok100, tok101;
-    UpdateDescriptor::Insert(*ds, Tuple({Value::Int(100)})).Serialize(&tok100);
-    UpdateDescriptor::Insert(*ds, Tuple({Value::Int(101)})).Serialize(&tok101);
-    std::string payload;
-    PutU32(&payload, 1);  // session count
-    PutLengthPrefixed(&payload, "legacy");
-    PutU64(&payload, 7);
-    PutU32(&payload, 1);  // batch count
-    PutU64(&payload, 42);
-    PutLengthPrefixed(&payload, "legacy");
-    PutU32(&payload, 2);  // token count
-    PutU32(&payload, 0);
-    PutLengthPrefixed(&payload, tok100);
-    PutU32(&payload, 1);
-    PutLengthPrefixed(&payload, tok101);
-    auto lsn = a.wal()->Append(WalRecordType::kCheckpoint, payload);
+    auto lsn = a.wal()->Append(static_cast<WalRecordType>(3), "");
     ASSERT_TRUE(lsn.ok()) << lsn.status().ToString();
     ASSERT_TRUE(a.wal()->Commit(*lsn).ok());
-    // Kill without processing.
   }
-  {
-    TriggerManager b(&db, opts);
-    ASSERT_TRUE(b.Open().ok());
-    EXPECT_EQ(b.last_recovery().checkpoints_seen, 1u);
-    EXPECT_EQ(b.RecoveredSessionSeq("legacy"), 7u);
-    EXPECT_EQ(b.WalPendingTokens(), 2u);
-    std::map<int64_t, int> fired;
-    b.events().Register("Seen", [&](const Event& e) {
-      fired[e.args[0].as_int()]++;
-    });
-    ASSERT_TRUE(b.ProcessPending().ok());
-    EXPECT_EQ(fired.size(), 2u);
-    EXPECT_EQ(fired[100], 1);
-    EXPECT_EQ(fired[101], 1);
-    // A V2 checkpoint written now must not confuse a further reopen.
-    ASSERT_TRUE(b.CheckpointWal().ok());
-  }
-  {
-    TriggerManager c(&db, opts);
-    ASSERT_TRUE(c.Open().ok());
-    EXPECT_EQ(c.RecoveredSessionSeq("legacy"), 7u);
-    EXPECT_EQ(c.WalPendingTokens(), 0u);
-  }
+  TriggerManager b(&db, opts);
+  Status s = b.Open();
+  EXPECT_EQ(s.code(), StatusCode::kCorruption) << s.ToString();
+  EXPECT_EQ(s.message(), "wal: unknown record type");
 }
 
 }  // namespace

@@ -215,7 +215,7 @@ class ATreatTest : public ::testing::Test {
 TEST_F(ATreatTest, VirtualNodesForLocalTables) {
   auto graph = IrisGraph();
   ASSERT_TRUE(graph.ok());
-  auto net = ATreatNetwork::Build(*graph, db_.get(), ATreatOptions{});
+  auto net = ATreatNetwork::Build(*graph, db_.get());
   ASSERT_TRUE(net.ok());
   // All three sources are local tables -> virtual alpha nodes (A-TREAT).
   EXPECT_FALSE((*net)->node_stored(0));
@@ -226,7 +226,7 @@ TEST_F(ATreatTest, VirtualNodesForLocalTables) {
 TEST_F(ATreatTest, JoinFiresForMatchingHouse) {
   auto graph = IrisGraph();
   ASSERT_TRUE(graph.ok());
-  auto net = ATreatNetwork::Build(*graph, db_.get(), ATreatOptions{});
+  auto net = ATreatNetwork::Build(*graph, db_.get());
   ASSERT_TRUE(net.ok());
 
   // New house in neighborhood 10 (Iris's): token arrives at node h (1).
@@ -272,7 +272,7 @@ TEST_F(ATreatTest, MultipleJoinCombinations) {
                    Value::Int(12), Value::Int(2)});
   auto graph = IrisGraph();
   ASSERT_TRUE(graph.ok());
-  auto net = ATreatNetwork::Build(*graph, db_.get(), ATreatOptions{});
+  auto net = ATreatNetwork::Build(*graph, db_.get());
   ASSERT_TRUE(net.ok());
   int firings = 0;
   ASSERT_TRUE((*net)
@@ -284,17 +284,32 @@ TEST_F(ATreatTest, MultipleJoinCombinations) {
   EXPECT_EQ(firings, 2);  // houses 1 and 2, not Sam's house 3
 }
 
-TEST_F(ATreatTest, StoredMemoriesWhenForced) {
-  ATreatOptions opts;
-  opts.prefer_virtual = false;
+TEST_F(ATreatTest, StoredMemoriesForStreamSources) {
+  // The same sources fed as streams: with no database behind the graph,
+  // every node is stored and filled only through AddTuple.
   auto graph = IrisGraph();
   ASSERT_TRUE(graph.ok());
-  auto net = ATreatNetwork::Build(*graph, db_.get(), opts);
+  std::vector<Schema> schemas;
+  for (const char* table : {"salesperson", "house", "represents"}) {
+    auto schema = db_->SchemaOf(table);
+    ASSERT_TRUE(schema.ok());
+    schemas.push_back(*schema);
+  }
+  auto net = ATreatNetwork::Build(*graph, nullptr, schemas);
   ASSERT_TRUE(net.ok());
   EXPECT_TRUE((*net)->node_stored(0));
-  // Priming fills stored memories from the base tables with selection
-  // applied: only Iris qualifies at node s.
-  ASSERT_TRUE((*net)->Prime().ok());
+  EXPECT_TRUE((*net)->node_stored(1));
+  EXPECT_TRUE((*net)->node_stored(2));
+  const std::pair<const char*, NetworkNodeId> feeds[] = {
+      {"salesperson", 0}, {"represents", 2}};
+  for (const auto& [table, node] : feeds) {
+    ASSERT_TRUE(db_->Scan(table, [&](const Rid&, const Tuple& t) {
+                     EXPECT_TRUE((*net)->AddTuple(node, t).ok());
+                     return true;
+                   }).ok());
+  }
+  // A stored view applies the node's selection: only Iris qualifies at
+  // node s.
   EXPECT_EQ((*net)->memory_size(0), 1u);
   EXPECT_EQ((*net)->memory_size(2), 3u);  // all represents rows
 
@@ -308,6 +323,7 @@ TEST_F(ATreatTest, StoredMemoriesWhenForced) {
   // Memory maintenance: drop the represents row for nno 10 and refire.
   ASSERT_TRUE(
       (*net)->RemoveTuple(2, Tuple({Value::Int(1), Value::Int(10)})).ok());
+  EXPECT_EQ((*net)->memory_size(2), 2u);
   firings = 0;
   ASSERT_TRUE((*net)
                   ->MatchJoins(1, House(100, "x", 1, 10, 1),
@@ -324,7 +340,7 @@ TEST_F(ATreatTest, SingleVariableTriggerFiresDirectly) {
   ASSERT_TRUE(cnf.ok());
   auto graph = ConditionGraph::Build(vars, *cnf);
   ASSERT_TRUE(graph.ok());
-  auto net = ATreatNetwork::Build(*graph, db_.get(), ATreatOptions{});
+  auto net = ATreatNetwork::Build(*graph, db_.get());
   ASSERT_TRUE(net.ok());
   int firings = 0;
   ASSERT_TRUE((*net)
@@ -350,7 +366,7 @@ TEST_F(ATreatTest, CatchAllConjunctFiltersFirings) {
   auto graph = ConditionGraph::Build(vars, *cnf);
   ASSERT_TRUE(graph.ok());
   ASSERT_EQ(graph->catch_all().size(), 1u);
-  auto net = ATreatNetwork::Build(*graph, db_.get(), ATreatOptions{});
+  auto net = ATreatNetwork::Build(*graph, db_.get());
   ASSERT_TRUE(net.ok());
   // House 100 in nno 10: s.spno(1) + r.nno(10) = 11 > hno must hold.
   int firings = 0;
@@ -374,7 +390,7 @@ TEST_F(ATreatTest, DisconnectedVariableMakesCartesianProduct) {
   };
   auto graph = ConditionGraph::Build(vars, {});  // no condition at all
   ASSERT_TRUE(graph.ok());
-  auto net = ATreatNetwork::Build(*graph, db_.get(), ATreatOptions{});
+  auto net = ATreatNetwork::Build(*graph, db_.get());
   ASSERT_TRUE(net.ok());
   int firings = 0;
   ASSERT_TRUE((*net)
@@ -398,7 +414,7 @@ TEST(ATreatStoreTest, StoredNodesReadOneSharedStoreAsViews) {
     EXPECT_TRUE(cnf.ok());
     auto graph = ConditionGraph::Build(vars, *cnf);
     EXPECT_TRUE(graph.ok());
-    auto net = ATreatNetwork::Build(*graph, nullptr, ATreatOptions{}, schemas);
+    auto net = ATreatNetwork::Build(*graph, nullptr, schemas);
     EXPECT_TRUE(net.ok());
     return std::move(*net);
   };

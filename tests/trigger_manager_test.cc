@@ -773,8 +773,7 @@ StoreSweepResult RunStoreSweep(TriggerManagerOptions options) {
     for (size_t i = 0; i < engine_net.num_nodes(); ++i) {
       schemas.push_back(engine_net.node_schema(static_cast<NetworkNodeId>(i)));
     }
-    auto net = ATreatNetwork::Build(engine_net.graph(), nullptr,
-                                    ATreatOptions{}, schemas);
+    auto net = ATreatNetwork::Build(engine_net.graph(), nullptr, schemas);
     ASSERT_TRUE(net.ok());
     installed[name] = ReferenceTrigger{name, std::move(*net)};
   };
